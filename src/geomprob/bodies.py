@@ -23,6 +23,7 @@ DIM_CAP = 8
 MEMBERSHIP_ATOL = 1e-12
 VERTEX_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
+_NORMAL_MATCH_TOL = 1e-9
 
 
 def _as_vector(x, d: int | None = None) -> np.ndarray:
@@ -34,6 +35,11 @@ def _as_vector(x, d: int | None = None) -> np.ndarray:
     if d is not None and v.shape[0] != d:
         raise DimensionError(f"expected dimension {d}, got {v.shape[0]}")
     return v
+
+
+def _unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
 
 
 def _check_dim(d: int) -> int:
@@ -145,7 +151,18 @@ def _ball_clip_box(box: BoundingBox, center: np.ndarray, radius: float) -> Bound
 
 
 class ConvexBody:
-    """Common interface: ``dim`` and vectorized membership."""
+    """The body protocol: ``dim`` plus five methods, defined by every body type.
+
+    - ``contains_batch(pts)``: vectorized membership;
+    - ``box()``: an axis-aligned ``BoundingBox`` containing the body;
+    - ``volume()``: the closed-form volume, or None where there is none;
+    - ``support(v, sampled)``: (inf, sup) of <v, x>. Each nesting level
+      normalizes v; where no closed form applies, the body returns
+      ``sampled(body, unit_v)``, the extremes of a sample;
+    - ``to_json()``: the JSON object that ``body_from_json`` reads back.
+
+    A new body type is one subclass; the module-level functions delegate.
+    """
 
     dim: int
 
@@ -172,6 +189,19 @@ class Ball(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(pts - self.center, axis=-1) <= self.radius + MEMBERSHIP_ATOL
+
+    def box(self) -> BoundingBox:
+        return BoundingBox(self.center - self.radius, self.center + self.radius)
+
+    def volume(self) -> float:
+        return exact.kappa(self.dim).to_float() * self.radius**self.dim
+
+    def support(self, v, sampled) -> tuple[float, float]:
+        c = float(_unit(v) @ self.center)
+        return c - self.radius, c + self.radius
+
+    def to_json(self) -> dict:
+        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -213,6 +243,48 @@ class HPolytope(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.all(pts @ self.normals.T >= self.offsets - MEMBERSHIP_ATOL, axis=-1)
+
+    def box(self) -> BoundingBox:
+        return self.bound
+
+    def volume(self) -> float | None:
+        """Exact when every facet is axis-aligned (a box), else None."""
+        lo = self.bound.lo.copy()
+        hi = self.bound.hi.copy()
+        for normal, offset in zip(self.normals, self.offsets):
+            axis = int(np.argmax(np.abs(normal)))
+            rest = float(np.abs(normal).sum() - abs(normal[axis]))
+            if abs(abs(normal[axis]) - 1.0) > 1e-12 or rest > 1e-12:
+                return None
+            if normal[axis] > 0:
+                lo[axis] = max(lo[axis], offset)
+            else:
+                hi[axis] = min(hi[axis], -offset)
+        if np.any(hi <= lo):
+            return 0.0
+        return float(np.prod(hi - lo))
+
+    def support(self, v, sampled) -> tuple[float, float]:
+        """Exact along facet normals (the stored offset is the minimum there), else sampled."""
+        v = _unit(v)
+        ends = []
+        for sign in (1.0, -1.0):
+            match = np.linalg.norm(self.normals - sign * v[None, :], axis=1) <= _NORMAL_MATCH_TOL
+            ends.append(sign * float(self.offsets[match].max()) if match.any() else None)
+        lo, hi = ends
+        if lo is None or hi is None:
+            s_lo, s_hi = sampled(self, v)
+            lo = s_lo if lo is None else lo
+            hi = s_hi if hi is None else hi
+        return lo, hi
+
+    def to_json(self) -> dict:
+        return {
+            "type": "hpoly",
+            "normals": self.normals.tolist(),
+            "offsets": self.offsets.tolist(),
+            "bound": {"lo": self.bound.lo.tolist(), "hi": self.bound.hi.tolist()},
+        }
 
 
 @dataclass(frozen=True)
@@ -264,6 +336,31 @@ class HalfBallCone(ConvexBody):
         )
         return in_half | in_cone
 
+    def box(self) -> BoundingBox:
+        lo = -np.ones(self.d)
+        lo[0] = -self.eps + self.delta
+        return BoundingBox(lo, np.ones(self.d))
+
+    def volume(self) -> float:
+        d, eps, delta = self.d, self.eps, self.delta
+        half = exact.kappa(d).to_float() / 2.0
+        cone = exact.kappa(d - 1).to_float() * (eps / d) * (1.0 - (delta / eps) ** d)
+        return half + cone
+
+    def support(self, v, sampled) -> tuple[float, float]:
+        """Exact along the axis of the cone, else sampled."""
+        v = _unit(v)
+        e1 = np.zeros(self.d)
+        e1[0] = 1.0
+        if np.linalg.norm(v - e1) <= _NORMAL_MATCH_TOL:
+            return -self.eps + self.delta, 1.0
+        if np.linalg.norm(v + e1) <= _NORMAL_MATCH_TOL:
+            return -1.0, self.eps - self.delta
+        return sampled(self, v)
+
+    def to_json(self) -> dict:
+        return {"type": "halfballcone", "d": self.d, "eps": self.eps, "delta": self.delta}
+
 
 @dataclass(frozen=True)
 class Polygon2D(ConvexBody):
@@ -301,6 +398,19 @@ class Polygon2D(ConvexBody):
         t = np.sum(n * v, axis=1)
         return np.all(pts @ n.T >= t - max(MEMBERSHIP_ATOL, 1e-12), axis=-1)
 
+    def box(self) -> BoundingBox:
+        return BoundingBox(self.vertices.min(axis=0), self.vertices.max(axis=0))
+
+    def volume(self) -> float:
+        return self.area()
+
+    def support(self, v, sampled) -> tuple[float, float]:
+        proj = self.vertices @ _unit(v)
+        return float(proj.min()), float(proj.max())
+
+    def to_json(self) -> dict:
+        return {"type": "polygon", "vertices": self.vertices.tolist()}
+
 
 @dataclass(frozen=True)
 class Cut(ConvexBody):
@@ -319,6 +429,39 @@ class Cut(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return self.base.contains_batch(pts) & self.halfspace.contains_batch(pts)
+
+    def box(self) -> BoundingBox:
+        box = _tighten_box(self.base.box(), self.halfspace)
+        _, root = _cut_chain(self)
+        if isinstance(root, Ball):
+            box = _ball_clip_box(box, root.center, root.radius)
+        return box
+
+    def volume(self) -> float | None:
+        """Exact for a ball cut along one normal line (half-ball, cap, slab), else None."""
+        params = parallel_slab_params(self)
+        if params is None:
+            return None
+        root, _, s_lo, s_hi = params
+        d = self.dim
+        frac = max(_ball_axis_cdf(d, s_hi) - _ball_axis_cdf(d, s_lo), 0.0)
+        return exact.kappa(d).to_float() * root.radius**d * frac
+
+    def support(self, v, sampled) -> tuple[float, float]:
+        """The base's interval clipped where the cut normal is parallel to v, else sampled."""
+        v = _unit(v)
+        h = self.halfspace
+        if np.linalg.norm(h.normal - v) <= _NORMAL_MATCH_TOL:
+            lo, hi = self.base.support(v, sampled)
+            return max(lo, h.offset), hi
+        if np.linalg.norm(h.normal + v) <= _NORMAL_MATCH_TOL:
+            lo, hi = self.base.support(v, sampled)
+            return lo, min(hi, -h.offset)
+        return sampled(self, v)
+
+    def to_json(self) -> dict:
+        base, h = self.base.to_json(), self.halfspace
+        return {"type": "cut", "base": base, "normal": h.normal.tolist(), "offset": h.offset}
 
 
 @dataclass(frozen=True)
@@ -351,6 +494,28 @@ class AffineImage(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return self.base.contains_batch((pts - self.shift) @ self.inverse.T)
+
+    def box(self) -> BoundingBox:
+        c = self.base.box().corners() @ self.matrix.T + self.shift
+        return BoundingBox(c.min(axis=0), c.max(axis=0))
+
+    def volume(self) -> float | None:
+        base = self.base.volume()
+        if base is None:
+            return None
+        return abs(float(np.linalg.det(self.matrix))) * base
+
+    def support(self, v, sampled) -> tuple[float, float]:
+        v = _unit(v)
+        w = self.matrix.T @ v
+        s = float(np.linalg.norm(w))
+        lo, hi = self.base.support(w / s, sampled)
+        off = float(v @ self.shift)
+        return s * lo + off, s * hi + off
+
+    def to_json(self) -> dict:
+        base, matrix, shift = self.base.to_json(), self.matrix.tolist(), self.shift.tolist()
+        return {"type": "affine", "base": base, "matrix": matrix, "shift": shift}
 
 
 def _shoelace(v: np.ndarray) -> float:
@@ -403,51 +568,13 @@ def contains(body: ConvexBody, point) -> bool:
     return bool(body.contains_batch(p[None, :])[0])
 
 
-def _box_volume_if_axis_aligned(poly: HPolytope) -> float | None:
-    """Volume of an H-polytope all of whose facets are axis-aligned, else None."""
-    d = poly.dim
-    lo = poly.bound.lo.copy()
-    hi = poly.bound.hi.copy()
-    for normal, offset in zip(poly.normals, poly.offsets):
-        axis = int(np.argmax(np.abs(normal)))
-        rest = float(np.abs(normal).sum() - abs(normal[axis]))
-        if abs(abs(normal[axis]) - 1.0) > 1e-12 or rest > 1e-12:
-            return None
-        if normal[axis] > 0:
-            lo[axis] = max(lo[axis], offset)
-        else:
-            hi[axis] = min(hi[axis], -offset)
-    if np.any(hi <= lo):
-        return 0.0
-    return float(np.prod(hi - lo))
-
-
 def exact_volume(body: ConvexBody) -> float | None:
-    """Closed-form volume where one exists, else None.
+    """Closed-form volume where one exists, else None."""
+    return body.volume()
 
-    Known cases: Ball, HalfBallCone, Polygon2D, axis-aligned box polytopes,
-    a Cut of a Ball by a hyperplane through its center (a half-ball), and
-    AffineImage of any of these.
-    """
-    if isinstance(body, Ball):
-        return exact.kappa(body.dim).to_float() * body.radius**body.dim
-    if isinstance(body, HalfBallCone):
-        d, eps, delta = body.d, body.eps, body.delta
-        half = exact.kappa(d).to_float() / 2.0
-        cone = exact.kappa(d - 1).to_float() * (eps / d) * (1.0 - (delta / eps) ** d)
-        return half + cone
-    if isinstance(body, Polygon2D):
-        return body.area()
-    if isinstance(body, HPolytope):
-        return _box_volume_if_axis_aligned(body)
-    if isinstance(body, AffineImage):
-        base = exact_volume(body.base)
-        if base is None:
-            return None
-        return abs(float(np.linalg.det(body.matrix))) * base
-    if isinstance(body, Cut):
-        return _ball_slab_volume(body)
-    return None
+
+def bounding_box(body: ConvexBody) -> BoundingBox:
+    return body.box()
 
 
 def _ball_axis_cdf(d: int, s: float) -> float:
@@ -474,6 +601,15 @@ def _ball_axis_ppf(d: int, q: np.ndarray) -> np.ndarray:
     return np.where(lower, -s, s)
 
 
+def _cut_chain(body: ConvexBody) -> tuple[list[Halfspace], ConvexBody]:
+    """Halfspaces of the Cut layers around a body, outermost first, and the root."""
+    cuts = []
+    while isinstance(body, Cut):
+        cuts.append(body.halfspace)
+        body = body.base
+    return cuts, body
+
+
 def parallel_slab_params(body: ConvexBody):
     """(ball, axis, s_lo, s_hi) when the body is a ball cut along one line.
 
@@ -481,11 +617,7 @@ def parallel_slab_params(body: ConvexBody):
     Ball root describes a slab: in unit-ball coordinates the axis coordinate
     runs over [s_lo, s_hi]. Returns None for any other shape.
     """
-    cuts = []
-    root = body
-    while isinstance(root, Cut):
-        cuts.append(root.halfspace)
-        root = root.base
+    cuts, root = _cut_chain(body)
     if not cuts or not isinstance(root, Ball):
         return None
     u = cuts[0].normal
@@ -501,46 +633,6 @@ def parallel_slab_params(body: ConvexBody):
         else:
             s_hi = min(s_hi, -s_plane)
     return root, u, s_lo, s_hi
-
-
-def _ball_slab_volume(body: Cut) -> float | None:
-    """Exact volume of a ball cut by halfspaces sharing one normal line.
-
-    Covers half-balls, spherical caps, and slabs. Cuts with non-parallel
-    normals have no closed form here and fall back to None.
-    """
-    params = parallel_slab_params(body)
-    if params is None:
-        return None
-    root, _, s_lo, s_hi = params
-    d = body.dim
-    frac = max(_ball_axis_cdf(d, s_hi) - _ball_axis_cdf(d, s_lo), 0.0)
-    return exact.kappa(d).to_float() * root.radius**d * frac
-
-
-def bounding_box(body: ConvexBody) -> BoundingBox:
-    if isinstance(body, Ball):
-        return BoundingBox(body.center - body.radius, body.center + body.radius)
-    if isinstance(body, HPolytope):
-        return body.bound
-    if isinstance(body, HalfBallCone):
-        lo = -np.ones(body.d)
-        lo[0] = -body.eps + body.delta
-        return BoundingBox(lo, np.ones(body.d))
-    if isinstance(body, Polygon2D):
-        return BoundingBox(body.vertices.min(axis=0), body.vertices.max(axis=0))
-    if isinstance(body, Cut):
-        box = _tighten_box(bounding_box(body.base), body.halfspace)
-        root = body.base
-        while isinstance(root, Cut):
-            root = root.base
-        if isinstance(root, Ball):
-            box = _ball_clip_box(box, root.center, root.radius)
-        return box
-    if isinstance(body, AffineImage):
-        c = bounding_box(body.base).corners() @ body.matrix.T + body.shift
-        return BoundingBox(c.min(axis=0), c.max(axis=0))
-    raise InvalidBodyError(f"unknown body type {type(body).__name__}")
 
 
 def intersect_halfspace(body: ConvexBody, h: Halfspace) -> ConvexBody:
@@ -695,34 +787,7 @@ def half_disk_polygon(n_vertices: int = 64) -> Polygon2D:
 
 
 def body_to_json(body: ConvexBody) -> dict:
-    if isinstance(body, Ball):
-        return {"type": "ball", "center": body.center.tolist(), "radius": body.radius}
-    if isinstance(body, HPolytope):
-        return {
-            "type": "hpoly",
-            "normals": body.normals.tolist(),
-            "offsets": body.offsets.tolist(),
-            "bound": {"lo": body.bound.lo.tolist(), "hi": body.bound.hi.tolist()},
-        }
-    if isinstance(body, HalfBallCone):
-        return {"type": "halfballcone", "d": body.d, "eps": body.eps, "delta": body.delta}
-    if isinstance(body, Polygon2D):
-        return {"type": "polygon", "vertices": body.vertices.tolist()}
-    if isinstance(body, Cut):
-        return {
-            "type": "cut",
-            "base": body_to_json(body.base),
-            "normal": body.halfspace.normal.tolist(),
-            "offset": body.halfspace.offset,
-        }
-    if isinstance(body, AffineImage):
-        return {
-            "type": "affine",
-            "base": body_to_json(body.base),
-            "matrix": body.matrix.tolist(),
-            "shift": body.shift.tolist(),
-        }
-    raise InvalidBodyError(f"unknown body type {type(body).__name__}")
+    return body.to_json()
 
 
 def body_from_json(data) -> ConvexBody:

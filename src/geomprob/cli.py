@@ -20,9 +20,7 @@ import numpy as np
 
 from . import exact
 from .bodies import (
-    Ball,
     Halfspace,
-    HalfBallCone,
     Polygon2D,
     body_from_json,
     body_to_json,
@@ -416,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, n_default):
         p.add_argument("--seed", type=int, default=None, help="RNG seed (env GEOMPROB_SEED if unset)")
         p.add_argument("--n", type=int, default=n_default, help="sample count")
-        p.add_argument("--out", type=str, default=None, help="CSV output path")
-        p.add_argument("--json", action="store_true", help="machine-readable output (the default)")
 
     p = sub.add_parser("exact-table", help="closed-form moment table")
     p.add_argument("--d", type=str, default="2..4")

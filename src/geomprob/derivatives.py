@@ -19,21 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import (
-    AffineImage,
-    Ball,
-    ConvexBody,
-    Cut,
-    Halfspace,
-    HalfBallCone,
-    HPolytope,
-    Polygon2D,
-    intersect_halfspace,
-)
+from .bodies import ConvexBody, HalfBallCone, Halfspace, intersect_halfspace
 from .errors import DimensionError, NonIsotropicBodyError
 from .estimators import (
     BATCH_COUNT,
     MomentEstimate,
+    _batch_size,
+    _jackknife,
+    _pooled_dets,
     _resolve_stream,
     _seed_of,
     batch_simplex_volumes,
@@ -48,7 +41,6 @@ from .sampling import sample_body, sample_slice, slice_measure
 CUT_ISOTROPY_TOL = 0.05
 DEFAULT_H_FRACTION = 0.02
 SUPPORT_SAMPLES = 8192
-_NORMAL_MATCH_TOL = 1e-9
 
 # an estimator handle: statistic(body, n, seed) -> MomentEstimate
 Statistic = Callable[[ConvexBody, int, object], MomentEstimate]
@@ -78,55 +70,17 @@ class CutFamily:
 
 
 def support_interval(body: ConvexBody, v, seed=0, n: int = SUPPORT_SAMPLES) -> tuple[float, float]:
-    """(inf, sup) of <v, x> over the body.
+    """(inf, sup) of <v, x> over the body, from the body's ``support`` method.
 
-    Analytic for balls, polygons, affine images of these, axis cuts of the
-    half-ball cone, and H-polytope facet directions (the stored offset is
-    the exact minimum along a facet normal); otherwise sampled extremes,
-    which slightly underestimate the true interval.
+    Where no closed form applies, the extremes of n points sampled from the
+    innermost body where it runs out, which slightly underestimate the interval.
     """
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    if isinstance(body, Ball):
-        c = float(v @ body.center)
-        return c - body.radius, c + body.radius
-    if isinstance(body, Polygon2D):
-        proj = body.vertices @ v
+
+    def sampled(inner: ConvexBody, u: np.ndarray) -> tuple[float, float]:
+        proj = sample_body(_resolve_stream(seed).substream(97), inner, n) @ u
         return float(proj.min()), float(proj.max())
-    if isinstance(body, AffineImage):
-        w = body.matrix.T @ v
-        s = float(np.linalg.norm(w))
-        lo, hi = support_interval(body.base, w / s, seed=seed, n=n)
-        off = float(v @ body.shift)
-        return s * lo + off, s * hi + off
-    if isinstance(body, HalfBallCone):
-        e1 = np.zeros(body.d)
-        e1[0] = 1.0
-        if np.linalg.norm(v - e1) <= _NORMAL_MATCH_TOL:
-            return -body.eps + body.delta, 1.0
-        if np.linalg.norm(v + e1) <= _NORMAL_MATCH_TOL:
-            return -1.0, body.eps - body.delta
-    if isinstance(body, Cut):
-        lo, hi = support_interval(body.base, v, seed=seed, n=n)
-        h = body.halfspace
-        if np.linalg.norm(h.normal - v) <= _NORMAL_MATCH_TOL:
-            return max(lo, h.offset), hi
-        if np.linalg.norm(h.normal + v) <= _NORMAL_MATCH_TOL:
-            return lo, min(hi, -h.offset)
-        # fall through to sampling below
-    lo = hi = None
-    if isinstance(body, HPolytope):
-        match = np.linalg.norm(body.normals - v[None, :], axis=1) <= _NORMAL_MATCH_TOL
-        if match.any():
-            lo = float(body.offsets[match].max())
-        match_neg = np.linalg.norm(body.normals + v[None, :], axis=1) <= _NORMAL_MATCH_TOL
-        if match_neg.any():
-            hi = float(-body.offsets[match_neg].max())
-    if lo is None or hi is None:
-        proj = sample_body(_resolve_stream(seed).substream(97), body, n) @ v
-        lo = float(proj.min()) if lo is None else lo
-        hi = float(proj.max()) if hi is None else hi
-    return lo, hi
+
+    return body.support(v, sampled)
 
 
 def cut_family(body: ConvexBody, v, seed=0) -> CutFamily:
@@ -161,6 +115,21 @@ def sf_simplex_volume(d: int) -> SymmetricFunction:
     return SymmetricFunction("simplexvol", d + 1, batch_simplex_volumes)
 
 
+def _slice_rate(q, g, g_se, smeas: MomentEstimate, vol, vol_se, n, seed) -> MomentEstimate:
+    """q g S / V for slice measure S and volume V, with its delta-method stderr.
+
+    q stays a separate factor inside each term: regrouping it, as in (q g_se)^2,
+    changes the last bits of the result.
+    """
+    value = q * g * smeas.mean / vol
+    var = (
+        (q * smeas.mean / vol) ** 2 * g_se**2
+        + (q * g / vol) ** 2 * smeas.stderr**2
+        + (q * g * smeas.mean / vol**2) ** 2 * vol_se**2
+    )
+    return MomentEstimate(mean=value, stderr=math.sqrt(var), n=n, k=1, seed=_seed_of(seed))
+
+
 def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: int, seed=0) -> MomentEstimate:
     """d/dt E[f(X_1..X_q)] for X_i uniform in K_t, via the cut-rate formula.
 
@@ -173,9 +142,7 @@ def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: in
     kt = fam.cut(t)
     d = kt.dim
     q = f.arity
-    m = n // BATCH_COUNT
-    if m < 1:
-        raise ValueError(f"need at least {BATCH_COUNT} samples, got {n}")
+    m = _batch_size(n)
     body_root = stream.substream(0)
     slice_root = stream.substream(1)
     deltas = np.empty(BATCH_COUNT)
@@ -190,15 +157,7 @@ def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: in
     dse = float(deltas.std(ddof=1) / math.sqrt(BATCH_COUNT))
     smeas = slice_measure(stream.substream(2), kt, fam.v, t, n)
     vol, vol_se = volume_with_stderr(kt, n, stream.substream(3))
-    value = q * dbar * smeas.mean / vol
-    var = (
-        (q * smeas.mean / vol) ** 2 * dse**2
-        + (q * dbar / vol) ** 2 * smeas.stderr**2
-        + (q * dbar * smeas.mean / vol**2) ** 2 * vol_se**2
-    )
-    return MomentEstimate(
-        mean=value, stderr=math.sqrt(var), n=m * BATCH_COUNT, k=1, seed=_seed_of(seed)
-    )
+    return _slice_rate(q, dbar, dse, smeas, vol, vol_se, m * BATCH_COUNT, seed)
 
 
 def detcov_derivative_rhs(
@@ -231,14 +190,7 @@ def detcov_derivative_rhs(
     msq = float(sq.mean())
     msq_se = float(sq.std(ddof=1) / math.sqrt(ns))
     vol, vol_se = volume_with_stderr(kt, n, stream.substream(3))
-    g = d - msq
-    value = g * smeas.mean / vol
-    var = (
-        (smeas.mean / vol) ** 2 * msq_se**2
-        + (g / vol) ** 2 * smeas.stderr**2
-        + (g * smeas.mean / vol**2) ** 2 * vol_se**2
-    )
-    return MomentEstimate(mean=value, stderr=math.sqrt(var), n=n, k=1, seed=_seed_of(seed))
+    return _slice_rate(1, d - msq, msq_se, smeas, vol, vol_se, n, seed)
 
 
 def finite_difference(
@@ -296,9 +248,7 @@ def det_cov_increase(body: ConvexBody, h: Halfspace, n: int, seed=0) -> MomentEs
     """
     stream = _resolve_stream(seed)
     d = body.dim
-    m = n // BATCH_COUNT
-    if m < 1:
-        raise ValueError(f"need at least {BATCH_COUNT} samples, got {n}")
+    m = _batch_size(n)
     s1 = np.empty((BATCH_COUNT, d))
     s2 = np.empty((BATCH_COUNT, d, d))
     c1 = np.empty((BATCH_COUNT, d))
@@ -312,25 +262,12 @@ def det_cov_increase(body: ConvexBody, h: Halfspace, n: int, seed=0) -> MomentEs
         c1[b] = cut_pts.sum(axis=0)
         c2[b] = cut_pts.T @ cut_pts
         counts[b] = cut_pts.shape[0]
-
-    def det_of(sum1, sum2, count):
-        mu = sum1 / count
-        return float(np.linalg.det(sum2 / count - np.outer(mu, mu)))
-
-    n_all = m * BATCH_COUNT
-    n_cut = float(counts.sum())
-    if n_cut < BATCH_COUNT * 2:
+    if counts.sum() < BATCH_COUNT * 2:
         raise NonIsotropicBodyError("cut retains too few points for a covariance estimate")
-    full = det_of(c1.sum(axis=0), c2.sum(axis=0), n_cut) - det_of(s1.sum(axis=0), s2.sum(axis=0), n_all)
-    loo = np.empty(BATCH_COUNT)
-    for b in range(BATCH_COUNT):
-        loo[b] = det_of(
-            c1.sum(axis=0) - c1[b], c2.sum(axis=0) - c2[b], n_cut - counts[b]
-        ) - det_of(s1.sum(axis=0) - s1[b], s2.sum(axis=0) - s2[b], n_all - m)
-    jack_mean = float(loo.mean())
-    value = BATCH_COUNT * full - (BATCH_COUNT - 1) * jack_mean
-    stderr = math.sqrt((BATCH_COUNT - 1) / BATCH_COUNT * float(np.sum((loo - jack_mean) ** 2)))
-    return MomentEstimate(mean=value, stderr=stderr, n=n_all, k=1, seed=_seed_of(seed))
+    cut_full, cut_loo = _pooled_dets(c1, c2, counts)
+    all_full, all_loo = _pooled_dets(s1, s2, np.full(BATCH_COUNT, float(m)))
+    value, stderr = _jackknife(cut_full - all_full, cut_loo - all_loo)
+    return MomentEstimate(mean=value, stderr=stderr, n=m * BATCH_COUNT, k=1, seed=_seed_of(seed))
 
 
 def counterexample_derivative_test(d: int, eps: float, n: int, seed=0) -> ExperimentReport:

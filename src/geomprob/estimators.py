@@ -153,6 +153,27 @@ def _moment_sums(body: ConvexBody, n: int, stream: SampleStream):
     return s1, s2, m
 
 
+def _pooled_dets(s1: np.ndarray, s2: np.ndarray, counts: np.ndarray):
+    """det A of all batches pooled, and of each delete-one-batch pool, from one det call.
+
+    s1 (B, d) and s2 (B, d, d) hold per-batch sums of x and x x^T over counts (B,) points.
+    """
+    t1, t2, total = s1.sum(axis=0), s2.sum(axis=0), counts.sum()
+    n = np.concatenate([[total], total - counts])[:, None]
+    mu = np.concatenate([t1[None], t1 - s1]) / n
+    cov = np.concatenate([t2[None], t2 - s2]) / n[..., None] - mu[:, :, None] * mu[:, None, :]
+    dets = np.linalg.det(cov)
+    return float(dets[0]), dets[1:]
+
+
+def _jackknife(full: float, loo: np.ndarray) -> tuple[float, float]:
+    """Delete-one-batch jackknife: (bias-corrected value, standard error)."""
+    jack_mean = float(loo.mean())
+    value = BATCH_COUNT * full - (BATCH_COUNT - 1) * jack_mean
+    stderr = math.sqrt((BATCH_COUNT - 1) / BATCH_COUNT * float(np.sum((loo - jack_mean) ** 2)))
+    return value, stderr
+
+
 def covariance_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> CovarianceEstimate:
     """Centroid and covariance E[(X-mu)(X-mu)^T], population (1/n) normalized."""
     stream = _resolve_stream(seed)
@@ -177,19 +198,8 @@ def det_cov_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate
     """
     stream = _resolve_stream(seed)
     s1, s2, m = _moment_sums(body, n, stream)
-    total = m * BATCH_COUNT
-    mu = s1.sum(axis=0) / total
-    det_full = float(np.linalg.det(s2.sum(axis=0) / total - np.outer(mu, mu)))
-    loo_n = total - m
-    loo_s1 = s1.sum(axis=0)[None, :] - s1
-    loo_s2 = s2.sum(axis=0)[None, :, :] - s2
-    loo_mu = loo_s1 / loo_n
-    loo_cov = loo_s2 / loo_n - np.einsum("bi,bj->bij", loo_mu, loo_mu)
-    loo_det = np.linalg.det(loo_cov)
-    jack_mean = float(loo_det.mean())
-    value = BATCH_COUNT * det_full - (BATCH_COUNT - 1) * jack_mean
-    stderr = math.sqrt((BATCH_COUNT - 1) / BATCH_COUNT * float(np.sum((loo_det - jack_mean) ** 2)))
-    return MomentEstimate(mean=value, stderr=stderr, n=total, k=1, seed=_seed_of(seed))
+    value, stderr = _jackknife(*_pooled_dets(s1, s2, np.full(BATCH_COUNT, float(m))))
+    return MomentEstimate(mean=value, stderr=stderr, n=m * BATCH_COUNT, k=1, seed=_seed_of(seed))
 
 
 def volume_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from . import exact
 from .bodies import (
     AffineImage,
     Ball,
@@ -97,11 +98,7 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
     from the exact cone volume profile.
     """
     d, eps, delta = body.d, body.eps, body.delta
-    from . import exact
-
-    vol_half = exact.kappa(d).to_float() / 2.0
-    vol_cone = exact.kappa(d - 1).to_float() * (eps / d) * (1.0 - (delta / eps) ** d)
-    p_half = vol_half / (vol_half + vol_cone)
+    p_half = exact.kappa(d).to_float() / 2.0 / body.volume()
     take_half = stream.uniform(n) < p_half
     out = np.empty((n, d))
 
@@ -122,30 +119,40 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
     return out
 
 
-def _rejection_sample(stream, n, box, predicate) -> np.ndarray:
-    d = box.dim
-    width = box.hi - box.lo
+def _reject(n: int, d: int, propose, accept, source: str) -> np.ndarray:
+    """The first n accepted proposals, in proposal order.
+
+    ``propose(m)`` draws m candidate points and ``accept(pts)`` masks the
+    ones to keep; ``source`` ends the message of the starvation error.
+    """
     out = np.empty((n, d))
     got = 0
     misses = 0
     while got < n:
         m = min(REJECTION_BATCH, max(4 * (n - got), 1024))
-        pts = box.lo + stream.uniform((m, d)) * width
-        ok = predicate(pts)
+        pts = propose(m)
+        ok = accept(pts)
         k = int(ok.sum())
         if k == 0:
             misses += m
             if misses >= MAX_CONSECUTIVE_MISSES:
-                raise DegenerateBodyError(
-                    f"no acceptance in {misses} proposals; body volume is "
-                    "negligible inside its bounding box"
-                )
+                raise DegenerateBodyError(f"no acceptance in {misses} proposals{source}")
             continue
         misses = 0
         take = min(k, n - got)
         out[got : got + take] = pts[ok][:take]
         got += take
     return out
+
+
+def _rejection_sample(stream, n, box, predicate) -> np.ndarray:
+    """n points of the box accepted by the predicate, proposed uniformly."""
+    width = box.hi - box.lo
+
+    def propose(m):
+        return box.lo + stream.uniform((m, box.dim)) * width
+
+    return _reject(n, box.dim, propose, predicate, "; body volume is negligible inside its bounding box")
 
 
 def _direct_sampler(body: ConvexBody):
@@ -224,27 +231,8 @@ def sample_body(stream: SampleStream, body: ConvexBody, n: int) -> np.ndarray:
     if isinstance(body, Cut):
         base_fn = _direct_sampler(body.base)
         if base_fn is not None:
-            h = body.halfspace
-            out = np.empty((n, body.dim))
-            got = 0
-            misses = 0
-            while got < n:
-                m = min(REJECTION_BATCH, max(4 * (n - got), 1024))
-                pts = base_fn(stream, m)
-                ok = h.contains_batch(pts)
-                k = int(ok.sum())
-                if k == 0:
-                    misses += m
-                    if misses >= MAX_CONSECUTIVE_MISSES:
-                        raise DegenerateBodyError(
-                            f"no acceptance in {misses} proposals from the base sampler"
-                        )
-                    continue
-                misses = 0
-                take = min(k, n - got)
-                out[got : got + take] = pts[ok][:take]
-                got += take
-            return out
+            accept = body.halfspace.contains_batch
+            return _reject(n, body.dim, lambda m: base_fn(stream, m), accept, " from the base sampler")
     box = bounding_box(body)
     if box.volume() <= 0:
         raise DegenerateBodyError("bounding box has zero volume")
@@ -281,13 +269,7 @@ def sample_slice(stream: SampleStream, body: ConvexBody, v, t: float, n: int) ->
     bounding sphere. Raises DegenerateSliceError when the section has
     negligible (d-1)-volume.
     """
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    if body.dim < 2:
-        raise DimensionError("slices need ambient dimension >= 2")
-    basis = slice_basis(v)
-    radius = _slice_radius(body, t)
-    anchor = t * v
+    basis, radius, anchor = _slice_frame(body, v, t)
 
     def predicate(coords):
         return body.contains_batch(anchor + coords @ basis)
@@ -302,13 +284,21 @@ def sample_slice(stream: SampleStream, body: ConvexBody, v, t: float, n: int) ->
     return anchor + coords @ basis
 
 
-def _slice_radius(body: ConvexBody, t: float) -> float:
+def _slice_frame(body: ConvexBody, v, t: float):
+    """(basis, radius, anchor): coordinates c on {<v, x> = t} map to anchor + c @ basis.
+
+    The box [-radius, radius]^(d-1) covers the section: the plane's cut of
+    the sphere about the origin through the farthest corner of the body's box.
+    """
+    if body.dim < 2:
+        raise DimensionError("slices need ambient dimension >= 2")
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v)
     big = bounding_box(body).max_norm()
     r2 = big * big - t * t
-    if r2 <= 0:
-        # the plane only grazes the bounding sphere; keep a positive box
-        return max(abs(big) * 1e-8, 1e-8)
-    return float(np.sqrt(r2))
+    # where the plane only grazes the bounding sphere, keep a positive box
+    radius = float(np.sqrt(r2)) if r2 > 0 else max(abs(big) * 1e-8, 1e-8)
+    return slice_basis(v), radius, t * v
 
 
 def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int):
@@ -320,11 +310,7 @@ def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int):
     """
     from .estimators import MomentEstimate
 
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    basis = slice_basis(v)
-    radius = _slice_radius(body, t)
-    anchor = t * v
+    basis, radius, anchor = _slice_frame(body, v, t)
     d1 = body.dim - 1
     box_vol = (2.0 * radius) ** d1
     coords = stream.uniform((n, d1)) * (2.0 * radius) - radius

@@ -64,6 +64,14 @@ def test_estimate_pinned_flag(capsys):
     assert lines[0]["mean"] == float(f"{direct.mean:.12g}")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--json"])
+def test_estimate_rejects_dropped_output_flags(tmp_path, flag):
+    path = tmp_path / "t.csv"
+    argv = ["estimate", "--body", BALL2, "--n", "6400", flag] + ([str(path)] if flag == "--out" else [])
+    assert main(argv) == 2
+    assert not path.exists()
+
+
 def test_env_seed_is_used(capsys, monkeypatch):
     monkeypatch.setenv("GEOMPROB_SEED", "5")
     code, lines = run_lines(capsys, ["estimate", "--body", BALL2, "--n", "50000"])

@@ -61,6 +61,29 @@ def test_support_interval_half_ball_cone_axis():
     assert hi == 1.0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_support_interval_cut_axis_exact(sign):
+    lo, hi = gp.support_interval(gp.half_ball(3), [sign, 0.0, 0.0])
+    assert (lo, hi) == ((0.0, 1.0) if sign > 0 else (-1.0, 0.0))
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_support_interval_cut_oblique_sampled_inside_exact(affine):
+    # along a unit u = (a, b, 0) with a, b > 0 the half-ball spans exactly [-b, 1]
+    v = np.array([0.6, 0.8, 0.0])
+    if affine:
+        body = gp.isotropic_half_ball(3)
+        w = body.matrix.T @ v
+        scale, off = float(np.linalg.norm(w)), float(v @ body.shift)
+        u = w / scale
+    else:
+        body, scale, off, u = gp.half_ball(3), 1.0, 0.0, v
+    lo_exact, hi_exact = scale * -u[1] + off, scale + off
+    lo, hi = gp.support_interval(body, v)
+    # no closed form applies along v: sampled extremes lie inside the exact interval
+    assert lo_exact - 1e-9 <= lo < hi <= hi_exact + 1e-9
+
+
 def test_cut_family_normalizes_and_cuts():
     fam = gp.cut_family(gp.Ball(np.zeros(2), 1.0), [3.0, 0.0])
     assert np.allclose(fam.v, [1.0, 0.0])
