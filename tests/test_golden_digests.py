@@ -2,11 +2,13 @@
 
 Each case hashes the exact bits of one output at a small sample budget:
 the first stream variates, ``sample_body`` on every sampler path, the
-per-body geometry (bounding box, closed-form volume, JSON text, support
-interval) and the estimators and derivative formulas. A refactor must
-leave every digest unchanged. A change that alters an output on purpose
-updates the digest here and says so in CHANGES.md, and in the README's
-reproducibility section when a random stream changes.
+slice sampler and slice measure at d = 3 and d = 4, polygon membership at
+and near the boundary, the per-body geometry (bounding box, closed-form
+volume, JSON text, support interval) and the estimators and derivative
+formulas. A refactor must leave every digest unchanged. A change that
+alters an output on purpose updates the digest here and says so in
+CHANGES.md, and in the README's reproducibility section when a random
+stream changes.
 
 Recorded with numpy 2.4.6 and scipy 1.17.1 on Python 3.11.7. Other
 versions of these libraries may change the last bits of their kernels
@@ -131,6 +133,21 @@ def _detcov_simplex() -> list:
     return _est(gp.detcov_derivative_rhs(fam, fam.a, 64 * 500, seed=19))
 
 
+def _polygon_boundary() -> list:
+    """Membership of a 16-gon's vertices and edge midpoints, and of those points
+    moved by +-1e-13 (inside the tolerance) and +-1e-12 (at its edge, where the
+    last bits of the edge frame decide) along each inward edge normal."""
+    poly = gp.half_disk_polygon(16)
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    normals = np.stack([-e[:, 1], e[:, 0]], axis=1)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    base = np.vstack([v, v + 0.5 * e])
+    shifts = np.vstack([s * normals for s in (1e-13, -1e-13, 1e-12, -1e-12)])
+    pts = np.vstack([base, (base[:, None, :] + shifts[None, :, :]).reshape(-1, 2)])
+    return [poly.contains_batch(pts)]
+
+
 def _det_cov_increase() -> list:
     fam = _iso_simplex_family()
     h = gp.Halfspace(fam.v, fam.a + 0.15)
@@ -155,9 +172,16 @@ CASES = {
     "sample/slice": lambda: [
         gp.sample_slice(gp.SampleStream(13, 0), gp.half_ball(3), _oblique(3), 0.2, 2000)
     ],
+    "sample/slice_d4": lambda: [
+        gp.sample_slice(gp.SampleStream(13, 0), gp.half_ball(4), _e(4), 0.1, 2000)
+    ],
+    "membership/polygon_boundary": _polygon_boundary,
     "estimate/volume": lambda: _est(gp.volume_estimate(gp.isotropic_simplex(3), 64 * 200, seed=11)),
     "estimate/slice_measure": lambda: _est(
         gp.slice_measure(gp.SampleStream(12, 0), gp.isotropic_simplex(3), _oblique(3), 0.3, 20000)
+    ),
+    "estimate/slice_measure_d4": lambda: _est(
+        gp.slice_measure(gp.SampleStream(12, 1), gp.half_ball(4), _e(4), 0.1, 20000)
     ),
     "estimate/moment": lambda: _est(gp.moment_estimate(gp.half_ball(3), 1, 64 * 50, seed=10)),
     "estimate/det_cov": lambda: _est(gp.det_cov_estimate(gp.half_disk_polygon(16), 64 * 100, seed=14)),
@@ -178,6 +202,7 @@ GOLDEN = {
     "estimate/det_cov_increase": "0bb038b22a5f055923e1a691d6647b255e0cdc6c126e070fd3567626c83a6774",
     "estimate/moment": "e6e784c1797c1cf56547b499e430ea954a1c44968a828ea247d18918c72e684b",
     "estimate/slice_measure": "0f9d87a3322da7e9049fddcbb6d669aa1da751722dacb12d11884e2b9d3954c5",
+    "estimate/slice_measure_d4": "c82de94083d0a5430b58fc0eb60cce1ef8ad6d266c219d2d011e0fbe84b24eb2",
     "estimate/volume": "dbb64cb9d861922da3c0328b96ae5fc04469101c09e7b2e08a98b506bf3f51e9",
     "geometry/affine_half_ball": "d036331b546b590653d159c4f8c6cc0dbbc75364583ea7c811f879223888a388",
     "geometry/affine_polygon": "0108c8ab6fb62fbc4b6ddf01db6caa98ae7bc5706c29782bdadd453d6f2d0510",
@@ -193,6 +218,7 @@ GOLDEN = {
     "geometry/hpoly_hull": "83db0f5c882074f7c92cdb557500b988537e40707212454f95f594f851b2ed3b",
     "geometry/hpoly_simplex": "77fc229335ebde319e2f347fdc9e7172925f5cc71acb46bd3cc23266b5847c2f",
     "geometry/polygon": "dcd740c946df58e05d40c2ec7d852d71b3830bc04dbd6dfb49f21010498487a6",
+    "membership/polygon_boundary": "ea5dbac86c05f856eab744e2ed55a4240fb0b1970087c8b11a57e7de6612a656",
     "sample/ball": "af4fb8fd4a80d722f10408c09dd766af66f311abfdaa14c3b82edf78c39d9b67",
     "sample/base_reject": "4d6c29227b4874453143a49b606cc17a6f96a5937f9c4b20acff94d9b4e3eeb2",
     "sample/base_reject_tilted": "5b83b26db138e4ccd5cf8154b4e85f369f929da9d369ce3d4a8d725e9b45a3b0",
@@ -205,6 +231,7 @@ GOLDEN = {
     "sample/slab": "270e0e36b66ef4ec931c2590a62e85c8fa8064de004c9e8e16fa334b92b1eeb3",
     "sample/slab_two_sided": "d8f01a25f3bdf9635ec2a14c1f13eeb77e6aa657ed92d43eb864dcbd420ed6ce",
     "sample/slice": "6860e7fbf979895fcbb5f2398adbf35dfc5e87841b3170cc88a6bd49c032dedf",
+    "sample/slice_d4": "5cd831eb552793651aeb9a30a0b6465d4cbd0c3c5badd20520ac248d7770221b",
     "stream/normal": "cc7660378137af362b9d7f5f3d1836d841debdae895dfc85e864851e702e8ffe",
     "stream/substream": "b08747be3c2a0286e409d0d614842cb63fe916de425ccb1e1d03d8274513018b",
     "stream/uniform": "7876d35df7d632cc0b495dd280cfb9ff895ec2465313d7fce0646aa43851958a",
