@@ -112,6 +112,15 @@ class BoundingBox:
         """Largest Euclidean norm over the box (attained at a corner)."""
         return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
 
+    def uniform(self, stream, m: int) -> np.ndarray:
+        """m points uniform in the box, from one (m, dim) draw of ``stream.uniform``."""
+        return self.lo + stream.uniform((m, self.dim)) * (self.hi - self.lo)
+
+
+def _inside(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Membership in {x : <n_i, x> >= t_i for all i}, unit normals as rows."""
+    return np.all(pts @ normals.T >= offsets - MEMBERSHIP_ATOL, axis=-1)
+
 
 def _tighten_box(box: BoundingBox, h: Halfspace) -> BoundingBox:
     """Intersect a box with a halfspace when the normal is axis aligned."""
@@ -242,7 +251,7 @@ class HPolytope(ConvexBody):
         return self.normals.shape[1]
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.all(pts @ self.normals.T >= self.offsets - MEMBERSHIP_ATOL, axis=-1)
+        return _inside(pts, self.normals, self.offsets)
 
     def box(self) -> BoundingBox:
         return self.bound
@@ -368,10 +377,13 @@ class Polygon2D(ConvexBody):
 
     Canonicalization deduplicates vertices within VERTEX_TOL, sorts CCW
     around the vertex centroid, and drops collinear middles so profile
-    reconstructions round-trip.
+    reconstructions round-trip. The edge frame (inward unit normals and
+    their offsets, edge i from vertex i to vertex i + 1) is built once here.
     """
 
     vertices: np.ndarray
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -380,7 +392,13 @@ class Polygon2D(ConvexBody):
         if not np.all(np.isfinite(v)):
             raise InvalidBodyError("polygon vertices must be finite")
         v = _canonicalize_polygon(v)
+        e = np.roll(v, -1, axis=0) - v
+        # inward normals for CCW orientation
+        n = np.stack([-e[:, 1], e[:, 0]], axis=1)
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "normals", n)
+        object.__setattr__(self, "offsets", np.sum(n * v, axis=1))
 
     @property
     def dim(self) -> int:
@@ -390,13 +408,7 @@ class Polygon2D(ConvexBody):
         return _shoelace(self.vertices)
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        # inward normals for CCW orientation
-        n = np.stack([-e[:, 1], e[:, 0]], axis=1)
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        t = np.sum(n * v, axis=1)
-        return np.all(pts @ n.T >= t - max(MEMBERSHIP_ATOL, 1e-12), axis=-1)
+        return _inside(pts, self.normals, self.offsets)
 
     def box(self) -> BoundingBox:
         return BoundingBox(self.vertices.min(axis=0), self.vertices.max(axis=0))
@@ -523,6 +535,12 @@ def _shoelace(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def _turns(v: np.ndarray) -> np.ndarray:
+    """Cross product (b - a) x (c - a) at each vertex b, with a and c its cyclic neighbours."""
+    a, c = np.roll(v, 1, axis=0), np.roll(v, -1, axis=0)
+    return (v[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (v[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+
+
 def _canonicalize_polygon(v: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(v).max()))
     # dedupe within tolerance
@@ -539,21 +557,12 @@ def _canonicalize_polygon(v: np.ndarray) -> np.ndarray:
     # drop collinear middles (reconstruction artifacts are collinear to ~1e-16)
     col_tol = 1e-12 * scale * scale
     while True:
-        m = len(v)
-        cross = np.empty(m)
-        for i in range(m):
-            a, b, cc = v[i - 1], v[i], v[(i + 1) % m]
-            cross[i] = (b[0] - a[0]) * (cc[1] - a[1]) - (b[1] - a[1]) * (cc[0] - a[0])
-        drop = np.abs(cross) <= col_tol
-        if not drop.any() or m - int(drop.sum()) < 3:
+        drop = np.abs(_turns(v)) <= col_tol
+        if not drop.any() or len(v) - int(drop.sum()) < 3:
             break
         v = v[~drop]
-    m = len(v)
-    for i in range(m):
-        a, b, cc = v[i - 1], v[i], v[(i + 1) % m]
-        cross = (b[0] - a[0]) * (cc[1] - a[1]) - (b[1] - a[1]) * (cc[0] - a[0])
-        if cross < -1e-9 * scale * scale:
-            raise InvalidBodyError("polygon is not convex")
+    if np.any(_turns(v) < -1e-9 * scale * scale):
+        raise InvalidBodyError("polygon is not convex")
     if _shoelace(v) <= 0:
         raise InvalidBodyError("polygon has nonpositive area after canonicalization")
     return v

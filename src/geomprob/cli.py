@@ -1,9 +1,9 @@
 """Command-line experiment drivers.
 
 Each subcommand prints JSON-lines reports to stdout (floats at 12
-significant digits) and optionally writes tables to a CSV file. Exit code 0
-means the run completed with a pass or report-only verdict, 1 means a fail
-verdict, 2 means a usage or input error.
+significant digits); the two table subcommands also write CSV with --out.
+Exit code 0 means the run completed with a pass or report-only verdict, 1
+means a fail verdict, 2 means a usage or input error.
 """
 
 from __future__ import annotations
@@ -60,18 +60,26 @@ from .symmetry2d import (
 
 Z_ONE_SIDED = 3.0
 SIGMA_WINDOW = 4.0
+# cut offsets past the new hull vertex: for the derivative formula and for the det increase
+RHS_DEPTH = 0.10
+FD_DEPTH = 0.15
 
 
 def _emit(obj) -> None:
     print(json.dumps(round_floats(obj)))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(round_floats(list(row)))
+def _emit_table(path: str | None, header: list[str], rows: list[list]) -> None:
+    """One JSON object per row (NaN and None as null); with a path, also the rows as CSV."""
+    for row in rows:
+        rec = dict(zip(header, row))
+        _emit({k: None if isinstance(x, float) and math.isnan(x) else x for k, x in rec.items()})
+    if path:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(round_floats(list(row)))
 
 
 def _resolve_seed(args) -> int:
@@ -121,12 +129,7 @@ def run_exact_table(args) -> int:
                     chain,
                 ]
             )
-    if args.out:
-        _write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row))
+    _emit_table(args.out, header, rows)
     return 0
 
 
@@ -224,19 +227,8 @@ def run_counterexample(args) -> int:
     return _report_exit(report)
 
 
-def run_d3_probe(args) -> int:
-    seed = _resolve_seed(args)
-    report = counterexample_derivative_test(3, args.eps, args.n, seed)
-    return _report_exit(report)
-
-
 def detcov_counterexample(
-    n: int = 2 * 10**6,
-    seed: int = 0,
-    variant: str = "simplex",
-    alpha: float = 1.2,
-    rhs_depth: float = 0.10,
-    fd_depth: float = 0.15,
+    n: int = 2 * 10**6, seed: int = 0, variant: str = "simplex", alpha: float = 1.2
 ) -> ExperimentReport:
     """The determinant-monotonicity experiment in three flavors.
 
@@ -310,9 +302,9 @@ def detcov_counterexample(
     proj = (regular_simplex_vertices(3, math.sqrt(15.0)) @ iso.matrix.T + iso.shift) @ v
     fam = CutFamily(iso, v, a, float(proj.max()))
 
-    rhs = detcov_derivative_rhs(fam, a + rhs_depth, n, stream.substream(2))
+    rhs = detcov_derivative_rhs(fam, a + RHS_DEPTH, n, stream.substream(2))
     rhs_z = rhs.mean / rhs.stderr if rhs.stderr > 0 else 0.0
-    inc = det_cov_increase(iso, Halfspace(v, a + fd_depth), n, stream.substream(3))
+    inc = det_cov_increase(iso, Halfspace(v, a + FD_DEPTH), n, stream.substream(3))
     inc_z = inc.mean / inc.stderr if inc.stderr > 0 else 0.0
     verdict = "pass" if (facet_ok and rhs_z >= Z_ONE_SIDED and inc_z >= Z_ONE_SIDED) else "fail"
     return ExperimentReport(
@@ -320,7 +312,7 @@ def detcov_counterexample(
         verdict=verdict,
         seed=seed,
         n=n,
-        params={"variant": "simplex", "d": 3, "alpha": alpha, "rhs_depth": rhs_depth, "fd_depth": fd_depth},
+        params={"variant": "simplex", "d": 3, "alpha": alpha, "rhs_depth": RHS_DEPTH, "fd_depth": FD_DEPTH},
         metrics={
             "facet_center_norm": facet_norm,
             "hull_point_norm": float(np.linalg.norm(x_iso)),
@@ -390,13 +382,8 @@ def run_monotonicity_2d(args) -> int:
 
 
 def run_k0_scan(args) -> int:
-    rows = []
-    for d in _parse_range(args.d):
-        k0 = exact.find_k0(d, args.k_max)
-        rows.append([d, k0 if k0 is not None else ""])
-        _emit({"d": d, "k0": k0})
-    if args.out:
-        _write_csv(args.out, ["d", "k0"], rows)
+    rows = [[d, exact.find_k0(d, args.k_max)] for d in _parse_range(args.d)]
+    _emit_table(args.out, ["d", "k0"], rows)
     return 0
 
 
@@ -476,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("d3-probe", help="the open d=3 case, report-only")
     p.add_argument("--eps", type=float, default=0.1)
     add_common(p, 10**7)
-    p.set_defaults(handler=run_d3_probe)
+    p.set_defaults(handler=run_counterexample, d=3)
 
     return parser
 

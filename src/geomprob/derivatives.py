@@ -39,7 +39,6 @@ from .report import ExperimentReport
 from .sampling import sample_body, sample_slice, slice_measure
 
 CUT_ISOTROPY_TOL = 0.05
-DEFAULT_H_FRACTION = 0.02
 SUPPORT_SAMPLES = 8192
 
 # an estimator handle: statistic(body, n, seed) -> MomentEstimate
@@ -69,15 +68,16 @@ class CutFamily:
         return intersect_halfspace(self.body, Halfspace(self.v, float(t)))
 
 
-def support_interval(body: ConvexBody, v, seed=0, n: int = SUPPORT_SAMPLES) -> tuple[float, float]:
+def support_interval(body: ConvexBody, v, seed=0) -> tuple[float, float]:
     """(inf, sup) of <v, x> over the body, from the body's ``support`` method.
 
-    Where no closed form applies, the extremes of n points sampled from the
-    innermost body where it runs out, which slightly underestimate the interval.
+    Where no closed form applies, the extremes of SUPPORT_SAMPLES points sampled
+    from the innermost body where it runs out, which slightly underestimate the
+    interval.
     """
 
     def sampled(inner: ConvexBody, u: np.ndarray) -> tuple[float, float]:
-        proj = sample_body(_resolve_stream(seed).substream(97), inner, n) @ u
+        proj = sample_body(_resolve_stream(seed).substream(97), inner, SUPPORT_SAMPLES) @ u
         return float(proj.min()), float(proj.max())
 
     return body.support(v, sampled)
@@ -160,15 +160,13 @@ def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: in
     return _slice_rate(q, dbar, dse, smeas, vol, vol_se, m * BATCH_COUNT, seed)
 
 
-def detcov_derivative_rhs(
-    fam: CutFamily, t: float, n: int, seed=0, slice_n: int | None = None
-) -> MomentEstimate:
+def detcov_derivative_rhs(fam: CutFamily, t: float, n: int, seed=0) -> MomentEstimate:
     """d/dt det A(K_t) for isotropic K_t.
 
-    Value: (d - E[|X|^2 for X on the slice]) slice_measure / vol(K_t). The
-    formula's hypothesis is isotropy of K_t, enforced here by requiring the
-    covariance estimate to be within CUT_ISOTROPY_TOL of the identity in
-    max-entry norm.
+    Value: (d - E[|X|^2 for X on the slice]) slice_measure / vol(K_t), the
+    slice mean taken over max(10^4, n // 8) slice points. The formula's
+    hypothesis is isotropy of K_t, enforced here by requiring the covariance
+    estimate to be within CUT_ISOTROPY_TOL of the identity in max-entry norm.
     """
     stream = _resolve_stream(seed)
     kt = fam.cut(t)
@@ -184,7 +182,7 @@ def detcov_derivative_rhs(
     if smeas.mean == 0.0:
         # tangent or empty slice: the cut removes nothing to first order
         return MomentEstimate(mean=0.0, stderr=0.0, n=n, k=1, seed=_seed_of(seed))
-    ns = slice_n if slice_n is not None else max(10**4, n // 8)
+    ns = max(10**4, n // 8)
     sp = sample_slice(stream.substream(1), kt, fam.v, t, ns)
     sq = np.sum(sp**2, axis=1)
     msq = float(sq.mean())
@@ -214,9 +212,9 @@ def finite_difference(
 
 
 def h_refinement_report(
-    fam: CutFamily, t: float, statistic: Statistic, h: float, n: int, seed=0, levels: int = 3
+    fam: CutFamily, t: float, statistic: Statistic, h: float, n: int, seed=0
 ) -> list[dict]:
-    """Finite differences at h, h/2, ... sharing the base statistic(K_t).
+    """Finite differences at h, h/2 and h/4 sharing the base statistic(K_t).
 
     Sharing the base makes the discretization trend visible instead of
     being washed out by an independent redraw of the anchor value.
@@ -225,7 +223,7 @@ def h_refinement_report(
     base = statistic(fam.cut(t), n, stream.substream(0))
     out = []
     step = h
-    for level in range(levels):
+    for level in range(3):
         hi = statistic(fam.cut(t + step), n, stream.substream(1 + level))
         out.append(
             {

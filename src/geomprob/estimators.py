@@ -210,11 +210,9 @@ def volume_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate:
     box_vol = box.volume()
     if box_vol <= 0:
         raise DegenerateBodyError("bounding box has zero volume")
-    width = box.hi - box.lo
     rates = np.empty(BATCH_COUNT)
     for b in range(BATCH_COUNT):
-        pts = box.lo + stream.substream(b).uniform((m, body.dim)) * width
-        rates[b] = float(body.contains_batch(pts).mean())
+        rates[b] = float(body.contains_batch(box.uniform(stream.substream(b), m)).mean())
     p = float(rates.mean())
     total = m * BATCH_COUNT
     se = math.sqrt(max(p * (1.0 - p), 0.0) / total)

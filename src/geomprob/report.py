@@ -39,12 +39,12 @@ class ExperimentReport:
         }
 
 
-def round_floats(obj, digits: int = 12):
-    """Recursively round floats to a fixed number of significant digits."""
+def round_floats(obj):
+    """Recursively round floats to 12 significant digits."""
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: round_floats(v, digits) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, digits) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj

@@ -147,12 +147,8 @@ def _reject(n: int, d: int, propose, accept, source: str) -> np.ndarray:
 
 def _rejection_sample(stream, n, box, predicate) -> np.ndarray:
     """n points of the box accepted by the predicate, proposed uniformly."""
-    width = box.hi - box.lo
-
-    def propose(m):
-        return box.lo + stream.uniform((m, box.dim)) * width
-
-    return _reject(n, box.dim, propose, predicate, "; body volume is negligible inside its bounding box")
+    source = "; body volume is negligible inside its bounding box"
+    return _reject(n, box.dim, lambda m: box.uniform(stream, m), predicate, source)
 
 
 def _direct_sampler(body: ConvexBody):
@@ -269,14 +265,9 @@ def sample_slice(stream: SampleStream, body: ConvexBody, v, t: float, n: int) ->
     bounding sphere. Raises DegenerateSliceError when the section has
     negligible (d-1)-volume.
     """
-    basis, radius, anchor = _slice_frame(body, v, t)
-
-    def predicate(coords):
-        return body.contains_batch(anchor + coords @ basis)
-
-    box = BoundingBox(np.full(body.dim - 1, -radius), np.full(body.dim - 1, radius))
+    basis, box, anchor = _slice_frame(body, v, t)
     try:
-        coords = _rejection_sample(stream, n, box, predicate)
+        coords = _rejection_sample(stream, n, box, lambda c: body.contains_batch(anchor + c @ basis))
     except DegenerateBodyError as err:
         raise DegenerateSliceError(
             f"slice at offset {t} has negligible measure: {err}"
@@ -285,10 +276,10 @@ def sample_slice(stream: SampleStream, body: ConvexBody, v, t: float, n: int) ->
 
 
 def _slice_frame(body: ConvexBody, v, t: float):
-    """(basis, radius, anchor): coordinates c on {<v, x> = t} map to anchor + c @ basis.
+    """(basis, box, anchor): coordinates c on {<v, x> = t} map to anchor + c @ basis.
 
-    The box [-radius, radius]^(d-1) covers the section: the plane's cut of
-    the sphere about the origin through the farthest corner of the body's box.
+    The (d-1)-box [-r, r]^(d-1) covers the section: the plane's cut of the
+    sphere about the origin through the farthest corner of the body's box.
     """
     if body.dim < 2:
         raise DimensionError("slices need ambient dimension >= 2")
@@ -298,7 +289,8 @@ def _slice_frame(body: ConvexBody, v, t: float):
     r2 = big * big - t * t
     # where the plane only grazes the bounding sphere, keep a positive box
     radius = float(np.sqrt(r2)) if r2 > 0 else max(abs(big) * 1e-8, 1e-8)
-    return slice_basis(v), radius, t * v
+    d1 = body.dim - 1
+    return slice_basis(v), BoundingBox(np.full(d1, -radius), np.full(d1, radius)), t * v
 
 
 def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int):
@@ -310,11 +302,10 @@ def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int):
     """
     from .estimators import MomentEstimate
 
-    basis, radius, anchor = _slice_frame(body, v, t)
-    d1 = body.dim - 1
-    box_vol = (2.0 * radius) ** d1
-    coords = stream.uniform((n, d1)) * (2.0 * radius) - radius
-    ok = body.contains_batch(anchor + coords @ basis)
+    basis, box, anchor = _slice_frame(body, v, t)
+    # (2r)^(d-1) by pow: box.volume() multiplies the sides and can differ in the last bit
+    box_vol = (2.0 * float(box.hi[0])) ** box.dim
+    ok = body.contains_batch(anchor + box.uniform(stream, n) @ basis)
     p = float(ok.mean())
     se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
     return MomentEstimate(mean=p * box_vol, stderr=se * box_vol, n=n)

@@ -261,26 +261,26 @@ def _convex_hull_2d(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def random_convex_polygon(stream: SampleStream, n_points: int = 12, scale: float = 1.0) -> Polygon2D:
-    """Convex hull of n_points uniform in a square, retried if too thin."""
+def random_convex_polygon(stream: SampleStream, n_points: int = 12) -> Polygon2D:
+    """Convex hull of n_points uniform in [-1, 1]^2, retried if its area is 0.1 or less."""
     for _ in range(64):
-        pts = (stream.uniform((n_points, 2)) * 2.0 - 1.0) * scale
+        pts = stream.uniform((n_points, 2)) * 2.0 - 1.0
         hull = _convex_hull_2d(pts)
         if len(hull) >= 3:
             poly = Polygon2D(hull)
-            if poly.area() > 0.1 * scale * scale:
+            if poly.area() > 0.1:
                 return poly
     raise InvalidBodyError("could not draw a non-degenerate random polygon")
 
 
-def bottom_pinned_polygon(stream: SampleStream, n_points: int = 12) -> Polygon2D:
-    """Random convex polygon translated so its unique lowest vertex is the origin.
+def bottom_pinned_polygon(stream: SampleStream) -> Polygon2D:
+    """Random 12-point convex polygon translated so its unique lowest vertex is the origin.
 
     The horizontal axis then supports the polygon at the origin, which is
     the frame the symmetrization lemmas need.
     """
     for _ in range(64):
-        poly = random_convex_polygon(stream, n_points)
+        poly = random_convex_polygon(stream)
         v = poly.vertices
         i = int(np.argmin(v[:, 1]))
         gaps = np.delete(v[:, 1], i) - v[i, 1]
@@ -289,14 +289,14 @@ def bottom_pinned_polygon(stream: SampleStream, n_points: int = 12) -> Polygon2D
     raise InvalidBodyError("could not find a polygon with a unique bottom vertex")
 
 
-def symmetric_bottom_polygon(stream: SampleStream, n_upper: int = 6) -> Polygon2D:
+def symmetric_bottom_polygon(stream: SampleStream) -> Polygon2D:
     """Axis-symmetric polygon resting on y = 0 with its bottom vertex at the origin.
 
-    Hull of random upper points, their mirror images across x = 0, and the
+    Hull of 6 random upper points, their mirror images across x = 0, and the
     origin: exactly the hypotheses of the shaking monotonicity lemma with
     the pinned point at the origin.
     """
-    pts = stream.uniform((n_upper, 2))
+    pts = stream.uniform((6, 2))
     upper = np.stack([pts[:, 0] * 2.0 - 1.0, 0.2 + 0.8 * pts[:, 1]], axis=1)
     mirrored = upper * np.array([-1.0, 1.0])
     cloud = np.vstack([upper, mirrored, np.zeros((1, 2))])
@@ -327,10 +327,9 @@ def clip_polygon(poly: Polygon2D, normal, offset: float) -> Polygon2D | None:
         return None
 
 
-def nested_polygon_pair(
-    stream: SampleStream, min_area_ratio: float = 0.15
-) -> tuple[Polygon2D, Polygon2D]:
-    """(K, L) with K a halfspace-clipped sub-polygon of the random polygon L."""
+def nested_polygon_pair(stream: SampleStream) -> tuple[Polygon2D, Polygon2D]:
+    """(K, L) with K a halfspace-clipped sub-polygon of the random polygon L,
+    keeping at least 0.15 of its area."""
     for _ in range(64):
         outer = random_convex_polygon(stream, 14)
         inner: Polygon2D | None = outer
@@ -344,6 +343,6 @@ def nested_polygon_pair(
             candidate = clip_polygon(inner, direction, lo + frac * (hi - lo))
             if candidate is not None:
                 inner = candidate
-        if inner is not outer and inner.area() >= min_area_ratio * outer.area():
+        if inner is not outer and inner.area() >= 0.15 * outer.area():
             return inner, outer
     raise InvalidBodyError("could not build a nested polygon pair")

@@ -46,6 +46,16 @@ def test_exact_table_csv_matches_module(tmp_path):
             assert row["chain_bound"] == "nan"
 
 
+def test_exact_table_prints_json_lines(capsys):
+    code, lines = run_lines(capsys, ["exact-table", "--d", "2..4", "--k", "1..2"])
+    assert code == 0
+    assert [(rec["d"], rec["k"]) for rec in lines] == [(d, k) for d in (2, 3, 4) for k in (1, 2)]
+    for rec in lines:
+        moment = gp.ball_simplex_moment(rec["d"], rec["k"]).to_float()
+        assert rec["ball_moment"] == float(f"{moment:.12g}")
+        assert (rec["chain_bound"] is None) == (rec["d"] < 4)
+
+
 def test_estimate_matches_library_bitwise(capsys):
     code, lines = run_lines(capsys, ["estimate", "--body", BALL2, "--n", "50000", "--seed", "5"])
     assert code == 0
@@ -130,6 +140,16 @@ def test_d3_probe_is_report_only(capsys):
     assert lines[0]["verdict"] == "inconclusive"
     assert "delta" in lines[0]["metrics"]
     assert "delta_stderr" in lines[0]["metrics"]
+
+
+def test_d3_probe_is_counterexample_at_d3(capsys):
+    argv = ["--eps", "0.2", "--n", "20000", "--seed", "8"]
+    _, probe = run_lines(capsys, ["d3-probe"] + argv)
+    _, direct = run_lines(capsys, ["counterexample", "--d", "3"] + argv)
+    assert len(probe) == len(direct) == 1
+    for rec in probe + direct:
+        del rec["wall_time_s"]
+    assert probe == direct
 
 
 def test_k0_scan_values(capsys, tmp_path):
