@@ -154,6 +154,20 @@ def _det_cov_increase() -> list:
     return _est(gp.det_cov_increase(fam.body, h, 64 * 200, seed=20))
 
 
+def _first_polygon() -> gp.Polygon2D:
+    return gp.random_convex_polygon(gp.SampleStream(31, 0))
+
+
+def _second_polygon() -> gp.Polygon2D:
+    return gp.bottom_pinned_polygon(gp.SampleStream(32, 0))
+
+
+def _plane_pipeline() -> list:
+    rep = gp.plane_bound_pipeline(_second_polygon(), [0.0, 0.0], n=64 * 50, seed=9)
+    metrics = [rep.metrics[key] for key in sorted(rep.metrics)]
+    return [rep.verdict, rep.seed, rep.n, ",".join(sorted(rep.metrics)), metrics]
+
+
 CASES = {
     "stream/uniform": lambda: [gp.SampleStream(7, 3).uniform(1000)],
     "stream/normal": lambda: [gp.SampleStream(7, 3).normal(1000)],
@@ -190,6 +204,17 @@ CASES = {
     "derivative/crofton_simplexvol": _crofton_simplex_volume,
     "derivative/detcov_square": _detcov_square,
     "derivative/detcov_simplex": _detcov_simplex,
+    "symmetry2d/random_convex_polygon": lambda: [_first_polygon().vertices],
+    "symmetry2d/bottom_pinned_polygon": lambda: [_second_polygon().vertices],
+    "symmetry2d/symmetric_bottom_polygon": lambda: [
+        gp.symmetric_bottom_polygon(gp.SampleStream(33, 0)).vertices
+    ],
+    "symmetry2d/nested_polygon_pair": lambda: [
+        poly.vertices for poly in gp.nested_polygon_pair(gp.SampleStream(34, 0))
+    ],
+    "symmetry2d/steiner": lambda: [gp.steiner_symmetrize(_first_polygon(), 0.7).vertices],
+    "symmetry2d/shake": lambda: [gp.blaschke_shake(_second_polygon(), 0.0).vertices],
+    "symmetry2d/plane_pipeline": _plane_pipeline,
 }
 CASES.update({f"geometry/{name}": (lambda name=name: _geometry(name)) for name in BODIES})
 
@@ -235,6 +260,13 @@ GOLDEN = {
     "stream/normal": "cc7660378137af362b9d7f5f3d1836d841debdae895dfc85e864851e702e8ffe",
     "stream/substream": "b08747be3c2a0286e409d0d614842cb63fe916de425ccb1e1d03d8274513018b",
     "stream/uniform": "7876d35df7d632cc0b495dd280cfb9ff895ec2465313d7fce0646aa43851958a",
+    "symmetry2d/bottom_pinned_polygon": "e5a188152f1429d745632c766870818eb567fa5db4e87c969ae1973ad7a49f24",
+    "symmetry2d/nested_polygon_pair": "4726650847b97dd5d42289f5f727a0156747b2c71fd3de26388fa2346be4a215",
+    "symmetry2d/plane_pipeline": "81dd750ec70918559cdabf1ddd5df4fb5850f1f8d36d5fac7f8606c21bd47310",
+    "symmetry2d/random_convex_polygon": "04760e275ecb534a0a3dcab74296bb7be33e65b95fcb90cb572a1021a31adcff",
+    "symmetry2d/shake": "98d1d7a23c3134cd8901cdb6d95b18a20f5834128747a72e4e0942fe556eebbf",
+    "symmetry2d/steiner": "a32cca6862dd173fd49bd7d38863186d5a378580d658499758b5a2605da18f67",
+    "symmetry2d/symmetric_bottom_polygon": "b12b3ca5848c8ee8e23fc9c88f825feab6dd1558f80d0b90d57bef66c9c1c933",
 }
 
 
