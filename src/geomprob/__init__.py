@@ -59,7 +59,6 @@ from .errors import (
 )
 from .estimators import (
     CovarianceEstimate,
-    MomentEstimate,
     batch_pinned_volumes,
     batch_simplex_volumes,
     covariance_estimate,
@@ -85,7 +84,7 @@ from .exact import (
     moment_ratio_bound,
     omega,
 )
-from .report import ExperimentReport, round_floats
+from .report import ExperimentReport, MomentEstimate, round_floats
 from .sampling import (
     SampleStream,
     sample_ball,

@@ -83,7 +83,8 @@ def _emit_table(path: str | None, header: list[str], rows: list[list]) -> None:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    """--seed if given, else GEOMPROB_SEED, else 0."""
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("GEOMPROB_SEED")
     if env is not None and env.strip():
@@ -134,20 +135,19 @@ def run_exact_table(args) -> int:
 
 
 def run_estimate(args) -> int:
-    seed = _resolve_seed(args)
     body = body_from_json(args.body)
     t0 = time.perf_counter()
     if args.pinned is not None:
-        est = pinned_moment_estimate(body, _parse_vector(args.pinned), args.k, args.n, seed)
+        est = pinned_moment_estimate(body, _parse_vector(args.pinned), args.k, args.n, args.seed)
     else:
-        est = moment_estimate(body, args.k, args.n, seed)
+        est = moment_estimate(body, args.k, args.n, args.seed)
     _emit(
         {
             "mean": est.mean,
             "stderr": est.stderr,
             "n": est.n,
-            "k": est.k,
-            "seed": seed,
+            "k": args.k,
+            "seed": args.seed,
             "wall_time_s": time.perf_counter() - t0,
         }
     )
@@ -172,14 +172,13 @@ def _statistic_for(f_name: str, d: int):
 
 
 def run_derivative_check(args) -> int:
-    seed = _resolve_seed(args)
     body = body_from_json(args.body)
     v = _parse_vector(args.v)
     f, statistic = _statistic_for(args.f, body.dim)
-    fam = cut_family(body, v, seed=seed)
+    fam = cut_family(body, v, seed=args.seed)
     t = args.t if args.t is not None else fam.a
     h = args.h if args.h is not None else 0.02 * (fam.b - fam.a)
-    stream = SampleStream(seed, 0)
+    stream = SampleStream(args.seed, 0)
     rhs = crofton_derivative_rhs(fam, t, f, args.n, stream.substream(0))
     fd = finite_difference(fam, t, h, statistic, args.n, stream.substream(1))
     denom = max(abs(rhs.mean), abs(fd.mean))
@@ -193,7 +192,7 @@ def run_derivative_check(args) -> int:
             "rel_err": rel_err,
             "t": t,
             "h": h,
-            "seed": seed,
+            "seed": args.seed,
             "n": args.n,
         }
     )
@@ -213,18 +212,14 @@ def run_symmetrize(args) -> int:
 
 
 def run_plane_check(args) -> int:
-    seed = _resolve_seed(args)
     body = body_from_json(args.poly)
     if not isinstance(body, Polygon2D):
         raise ValueError("plane-check expects a polygon body")
-    report = plane_bound_pipeline(body, _parse_vector(args.x), args.n, seed)
-    return _report_exit(report)
+    return _report_exit(plane_bound_pipeline(body, _parse_vector(args.x), args.n, args.seed))
 
 
 def run_counterexample(args) -> int:
-    seed = _resolve_seed(args)
-    report = counterexample_derivative_test(args.d, args.eps, args.n, seed)
-    return _report_exit(report)
+    return _report_exit(counterexample_derivative_test(args.d, args.eps, args.n, args.seed))
 
 
 def detcov_counterexample(
@@ -328,11 +323,7 @@ def detcov_counterexample(
 
 
 def run_detcov_counterexample(args) -> int:
-    seed = _resolve_seed(args)
-    report = detcov_counterexample(
-        n=args.n, seed=seed, variant=args.variant, alpha=args.alpha
-    )
-    return _report_exit(report)
+    return _report_exit(detcov_counterexample(args.n, args.seed, args.variant, args.alpha))
 
 
 def monotonicity_2d(pairs: int, n: int, seed: int = 0) -> ExperimentReport:
@@ -376,9 +367,7 @@ def monotonicity_2d(pairs: int, n: int, seed: int = 0) -> ExperimentReport:
 
 
 def run_monotonicity_2d(args) -> int:
-    seed = _resolve_seed(args)
-    report = monotonicity_2d(args.pairs, args.n, seed)
-    return _report_exit(report)
+    return _report_exit(monotonicity_2d(args.pairs, args.n, args.seed))
 
 
 def run_k0_scan(args) -> int:
@@ -475,6 +464,8 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
+        if hasattr(args, "seed"):
+            args.seed = _resolve_seed(args)
         return args.handler(args)
     except (GeomProbError, ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -14,6 +14,7 @@ derivative is negative (-slice measure).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,19 +24,17 @@ from .bodies import ConvexBody, HalfBallCone, Halfspace, intersect_halfspace
 from .errors import DimensionError, NonIsotropicBodyError
 from .estimators import (
     BATCH_COUNT,
-    MomentEstimate,
     _batch_size,
     _jackknife,
     _pooled_dets,
     _resolve_stream,
-    _seed_of,
     batch_simplex_volumes,
     covariance_estimate,
     moment_estimate,
     pinned_moment_estimate,
     volume_with_stderr,
 )
-from .report import ExperimentReport
+from .report import ExperimentReport, MomentEstimate, mean_stderr
 from .sampling import sample_body, sample_slice, slice_measure
 
 CUT_ISOTROPY_TOL = 0.05
@@ -115,7 +114,7 @@ def sf_simplex_volume(d: int) -> SymmetricFunction:
     return SymmetricFunction("simplexvol", d + 1, batch_simplex_volumes)
 
 
-def _slice_rate(q, g, g_se, smeas: MomentEstimate, vol, vol_se, n, seed) -> MomentEstimate:
+def _slice_rate(q, g, g_se, smeas: MomentEstimate, vol, vol_se, n) -> MomentEstimate:
     """q g S / V for slice measure S and volume V, with its delta-method stderr.
 
     q stays a separate factor inside each term: regrouping it, as in (q g_se)^2,
@@ -127,7 +126,7 @@ def _slice_rate(q, g, g_se, smeas: MomentEstimate, vol, vol_se, n, seed) -> Mome
         + (q * g / vol) ** 2 * smeas.stderr**2
         + (q * g * smeas.mean / vol**2) ** 2 * vol_se**2
     )
-    return MomentEstimate(mean=value, stderr=math.sqrt(var), n=n, k=1, seed=_seed_of(seed))
+    return MomentEstimate(value, math.sqrt(var), n)
 
 
 def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: int, seed=0) -> MomentEstimate:
@@ -153,11 +152,10 @@ def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: in
         cond_pts[:, 0, :] = sample_slice(slice_root.substream(b), kt, fam.v, t, m)
         cond = f.eval_batch(cond_pts)
         deltas[b] = float(np.mean(full - cond))
-    dbar = float(deltas.mean())
-    dse = float(deltas.std(ddof=1) / math.sqrt(BATCH_COUNT))
+    dbar, dse = mean_stderr(deltas)
     smeas = slice_measure(stream.substream(2), kt, fam.v, t, n)
     vol, vol_se = volume_with_stderr(kt, n, stream.substream(3))
-    return _slice_rate(q, dbar, dse, smeas, vol, vol_se, m * BATCH_COUNT, seed)
+    return _slice_rate(q, dbar, dse, smeas, vol, vol_se, m * BATCH_COUNT)
 
 
 def detcov_derivative_rhs(fam: CutFamily, t: float, n: int, seed=0) -> MomentEstimate:
@@ -181,14 +179,12 @@ def detcov_derivative_rhs(fam: CutFamily, t: float, n: int, seed=0) -> MomentEst
     smeas = slice_measure(stream.substream(2), kt, fam.v, t, n)
     if smeas.mean == 0.0:
         # tangent or empty slice: the cut removes nothing to first order
-        return MomentEstimate(mean=0.0, stderr=0.0, n=n, k=1, seed=_seed_of(seed))
+        return MomentEstimate(0.0, 0.0, n)
     ns = max(10**4, n // 8)
     sp = sample_slice(stream.substream(1), kt, fam.v, t, ns)
-    sq = np.sum(sp**2, axis=1)
-    msq = float(sq.mean())
-    msq_se = float(sq.std(ddof=1) / math.sqrt(ns))
+    msq, msq_se = mean_stderr(np.sum(sp**2, axis=1))
     vol, vol_se = volume_with_stderr(kt, n, stream.substream(3))
-    return _slice_rate(1, d - msq, msq_se, smeas, vol, vol_se, n, seed)
+    return _slice_rate(1, d - msq, msq_se, smeas, vol, vol_se, n)
 
 
 def finite_difference(
@@ -202,13 +198,7 @@ def finite_difference(
     stream = _resolve_stream(seed)
     lo = statistic(fam.cut(t), n, stream.substream(0))
     hi = statistic(fam.cut(t + h), n, stream.substream(1))
-    return MomentEstimate(
-        mean=(hi.mean - lo.mean) / h,
-        stderr=math.hypot(lo.stderr, hi.stderr) / h,
-        n=lo.n + hi.n,
-        k=1,
-        seed=_seed_of(seed),
-    )
+    return MomentEstimate((hi.mean - lo.mean) / h, math.hypot(lo.stderr, hi.stderr) / h, lo.n + hi.n)
 
 
 def h_refinement_report(
@@ -265,7 +255,7 @@ def det_cov_increase(body: ConvexBody, h: Halfspace, n: int, seed=0) -> MomentEs
     cut_full, cut_loo = _pooled_dets(c1, c2, counts)
     all_full, all_loo = _pooled_dets(s1, s2, np.full(BATCH_COUNT, float(m)))
     value, stderr = _jackknife(cut_full - all_full, cut_loo - all_loo)
-    return MomentEstimate(mean=value, stderr=stderr, n=m * BATCH_COUNT, k=1, seed=_seed_of(seed))
+    return MomentEstimate(value, stderr, m * BATCH_COUNT)
 
 
 def counterexample_derivative_test(d: int, eps: float, n: int, seed=0) -> ExperimentReport:
@@ -278,8 +268,6 @@ def counterexample_derivative_test(d: int, eps: float, n: int, seed=0) -> Experi
     negative for d = 2; d = 3 is the open case and always reports
     inconclusive.
     """
-    import time
-
     t0 = time.perf_counter()
     if d < 2:
         raise DimensionError("the apex comparison needs dimension >= 2")
@@ -299,7 +287,7 @@ def counterexample_derivative_test(d: int, eps: float, n: int, seed=0) -> Experi
     return ExperimentReport(
         name="counterexample",
         verdict=verdict,
-        seed=_seed_of(seed),
+        seed=stream.seed,
         n=n,
         params={"d": d, "eps": eps},
         metrics={

@@ -20,27 +20,11 @@ import numpy as np
 
 from .bodies import ConvexBody, affine_image, bounding_box, exact_volume
 from .errors import DegenerateBodyError, SingularTransformError
+from .report import MomentEstimate, hit_or_miss, mean_stderr
 from .sampling import SampleStream, sample_body
 
 BATCH_COUNT = 64
 MIN_COVARIANCE_EIGENVALUE = 1e-9
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """A Monte Carlo mean with its batch-means standard error."""
-
-    mean: float
-    stderr: float
-    n: int
-    k: int = 1
-    seed: int | None = None
-
-    def z_against(self, reference: float) -> float:
-        """Signed distance from a reference value in standard errors."""
-        if self.stderr == 0:
-            return math.copysign(math.inf, self.mean - reference) if self.mean != reference else 0.0
-        return (self.mean - reference) / self.stderr
 
 
 @dataclass(frozen=True)
@@ -60,10 +44,6 @@ def _resolve_stream(seed) -> SampleStream:
     if isinstance(seed, SampleStream):
         return seed
     return SampleStream(int(seed), 0)
-
-
-def _seed_of(seed) -> int:
-    return seed.seed if isinstance(seed, SampleStream) else int(seed) & ((1 << 64) - 1)
 
 
 def _batch_size(n: int) -> int:
@@ -95,7 +75,7 @@ def batch_pinned_volumes(x: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(edges)) / math.factorial(d)
 
 
-def expectation_estimate(body: ConvexBody, fn, arity: int, n: int, seed, k: int = 1) -> MomentEstimate:
+def expectation_estimate(body: ConvexBody, fn, arity: int, n: int, seed) -> MomentEstimate:
     """Batch-means estimate of E fn(X_1..X_arity) for iid uniform points.
 
     ``fn`` maps an (m, arity, d) array of point tuples to (m,) values.
@@ -107,9 +87,7 @@ def expectation_estimate(body: ConvexBody, fn, arity: int, n: int, seed, k: int 
     for b in range(BATCH_COUNT):
         pts = sample_body(stream.substream(b), body, m * arity).reshape(m, arity, d)
         means[b] = float(np.mean(fn(pts)))
-    mean = float(means.mean())
-    stderr = float(means.std(ddof=1) / math.sqrt(BATCH_COUNT))
-    return MomentEstimate(mean=mean, stderr=stderr, n=m * BATCH_COUNT, k=k, seed=_seed_of(seed))
+    return MomentEstimate(*mean_stderr(means), m * BATCH_COUNT)
 
 
 def moment_estimate(body: ConvexBody, k: int = 1, n: int = 10**6, seed=0) -> MomentEstimate:
@@ -120,7 +98,7 @@ def moment_estimate(body: ConvexBody, k: int = 1, n: int = 10**6, seed=0) -> Mom
     def fn(pts):
         return batch_simplex_volumes(pts) ** k
 
-    return expectation_estimate(body, fn, body.dim + 1, n, seed, k=k)
+    return expectation_estimate(body, fn, body.dim + 1, n, seed)
 
 
 def pinned_moment_estimate(body: ConvexBody, x, k: int = 1, n: int = 10**6, seed=0) -> MomentEstimate:
@@ -137,7 +115,7 @@ def pinned_moment_estimate(body: ConvexBody, x, k: int = 1, n: int = 10**6, seed
     def fn(pts):
         return batch_pinned_volumes(xv, pts) ** k
 
-    return expectation_estimate(body, fn, body.dim, n, seed, k=k)
+    return expectation_estimate(body, fn, body.dim, n, seed)
 
 
 def _moment_sums(body: ConvexBody, n: int, stream: SampleStream):
@@ -199,7 +177,7 @@ def det_cov_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate
     stream = _resolve_stream(seed)
     s1, s2, m = _moment_sums(body, n, stream)
     value, stderr = _jackknife(*_pooled_dets(s1, s2, np.full(BATCH_COUNT, float(m))))
-    return MomentEstimate(mean=value, stderr=stderr, n=m * BATCH_COUNT, k=1, seed=_seed_of(seed))
+    return MomentEstimate(value, stderr, m * BATCH_COUNT)
 
 
 def volume_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate:
@@ -213,10 +191,7 @@ def volume_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate:
     rates = np.empty(BATCH_COUNT)
     for b in range(BATCH_COUNT):
         rates[b] = float(body.contains_batch(box.uniform(stream.substream(b), m)).mean())
-    p = float(rates.mean())
-    total = m * BATCH_COUNT
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / total)
-    return MomentEstimate(mean=p * box_vol, stderr=se * box_vol, n=total, k=1, seed=_seed_of(seed))
+    return hit_or_miss(float(rates.mean()), m * BATCH_COUNT, box_vol)
 
 
 def volume_with_stderr(body: ConvexBody, n: int, seed) -> tuple[float, float]:
@@ -261,6 +236,4 @@ def isotropic_constant_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> Mom
     vol, vol_se = volume_with_stderr(body, n, stream.substream(1))
     value = (det_est.mean / vol**2) ** (1.0 / (2 * d))
     rel_var = (det_est.stderr / (2 * d * det_est.mean)) ** 2 + (vol_se / (d * vol)) ** 2
-    return MomentEstimate(
-        mean=value, stderr=value * math.sqrt(rel_var), n=det_est.n, k=1, seed=_seed_of(seed)
-    )
+    return MomentEstimate(value, value * math.sqrt(rel_var), det_est.n)

@@ -31,6 +31,7 @@ from .bodies import (
     parallel_slab_params,
 )
 from .errors import DegenerateBodyError, DegenerateSliceError, DimensionError
+from .report import MomentEstimate, hit_or_miss
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -293,19 +294,14 @@ def _slice_frame(body: ConvexBody, v, t: float):
     return slice_basis(v), BoundingBox(np.full(d1, -radius), np.full(d1, radius)), t * v
 
 
-def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int):
+def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int) -> MomentEstimate:
     """Estimate the (d-1)-volume of the section {<v, x> = t} of the body.
 
     Monte Carlo in slice coordinates: acceptance fraction of a box of known
-    (d-1)-volume, with the usual binomial standard error. Returns a
-    MomentEstimate.
+    (d-1)-volume, with the usual binomial standard error.
     """
-    from .estimators import MomentEstimate
-
     basis, box, anchor = _slice_frame(body, v, t)
     # (2r)^(d-1) by pow: box.volume() multiplies the sides and can differ in the last bit
     box_vol = (2.0 * float(box.hi[0])) ** box.dim
     ok = body.contains_batch(anchor + box.uniform(stream, n) @ basis)
-    p = float(ok.mean())
-    se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
-    return MomentEstimate(mean=p * box_vol, stderr=se * box_vol, n=n)
+    return hit_or_miss(float(ok.mean()), n, box_vol)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
+from scipy.spatial import ConvexHull, QhullError
 
 from .bodies import Polygon2D, VERTEX_TOL
 from .errors import InvalidBodyError
-from .estimators import _resolve_stream, _seed_of, pinned_moment_estimate
+from .estimators import _resolve_stream, pinned_moment_estimate
 from .report import ExperimentReport
 from .sampling import SampleStream
 
@@ -220,7 +221,7 @@ def plane_bound_pipeline(poly: Polygon2D, x, n: int = 10**6, seed=0) -> Experime
     return ExperimentReport(
         name="plane-check",
         verdict=verdict,
-        seed=_seed_of(seed),
+        seed=stream.seed,
         n=n,
         params={"x": list(np.asarray(x, dtype=float))},
         metrics={
@@ -240,36 +241,16 @@ def plane_bound_pipeline(poly: Polygon2D, x, n: int = 10**6, seed=0) -> Experime
 # polygon corpora for the monotonicity experiments
 
 
-def _convex_hull_2d(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; returns hull vertices in CCW order."""
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
-
-    def half(chain_pts):
-        chain: list[np.ndarray] = []
-        for p in chain_pts:
-            while len(chain) >= 2:
-                a, b = chain[-2], chain[-1]
-                if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
 def random_convex_polygon(stream: SampleStream, n_points: int = 12) -> Polygon2D:
     """Convex hull of n_points uniform in [-1, 1]^2, retried if its area is 0.1 or less."""
     for _ in range(64):
         pts = stream.uniform((n_points, 2)) * 2.0 - 1.0
-        hull = _convex_hull_2d(pts)
-        if len(hull) >= 3:
-            poly = Polygon2D(hull)
-            if poly.area() > 0.1:
-                return poly
+        try:
+            poly = Polygon2D(pts[ConvexHull(pts).vertices])
+        except QhullError:  # a flat cloud
+            continue
+        if poly.area() > 0.1:
+            return poly
     raise InvalidBodyError("could not draw a non-degenerate random polygon")
 
 
@@ -300,7 +281,7 @@ def symmetric_bottom_polygon(stream: SampleStream) -> Polygon2D:
     upper = np.stack([pts[:, 0] * 2.0 - 1.0, 0.2 + 0.8 * pts[:, 1]], axis=1)
     mirrored = upper * np.array([-1.0, 1.0])
     cloud = np.vstack([upper, mirrored, np.zeros((1, 2))])
-    return Polygon2D(_convex_hull_2d(cloud))
+    return Polygon2D(cloud[ConvexHull(cloud).vertices])
 
 
 def clip_polygon(poly: Polygon2D, normal, offset: float) -> Polygon2D | None:

@@ -125,6 +125,44 @@ def test_symmetrize_rejects_non_polygon(capsys):
     assert "polygon" in capsys.readouterr().err
 
 
+def _as_emitted(obj):
+    return json.loads(json.dumps(gp.round_floats(obj)))
+
+
+def _polygon_json(poly) -> str:
+    return json.dumps(gp.body_to_json(poly))
+
+
+def test_symmetrize_steiner_matches_library(capsys):
+    text = _polygon_json(gp.random_convex_polygon(gp.SampleStream(31, 0)))
+    code, lines = run_lines(capsys, ["symmetrize", "--poly", text, "--op", "steiner", "--angle", "0.7"])
+    assert code == 0
+    assert lines == [_as_emitted(gp.body_to_json(gp.steiner_symmetrize(gp.body_from_json(text), 0.7)))]
+
+
+def test_plane_check_prints_pipeline_record(capsys):
+    text = _polygon_json(gp.bottom_pinned_polygon(gp.SampleStream(32, 0)))
+    argv = ["plane-check", "--poly", text, "--x", "0,0", "--n", "3200", "--seed", "9"]
+    code, lines = run_lines(capsys, argv)
+    report = gp.plane_bound_pipeline(gp.body_from_json(text), [0.0, 0.0], 3200, 9).to_dict()
+    for rec in lines + [report]:
+        del rec["wall_time_s"]
+    assert lines == [_as_emitted(report)]
+    assert code == (1 if report["verdict"] == "fail" else 0)
+
+
+def test_plane_check_rejects_non_polygon(capsys):
+    code = main(["plane-check", "--poly", BALL2, "--x", "0,-1", "--n", "3200"])
+    assert code == 2
+    assert "polygon" in capsys.readouterr().err
+
+
+def test_env_seed_is_read_only_by_seeded_subcommands(capsys, monkeypatch):
+    monkeypatch.setenv("GEOMPROB_SEED", "not-a-seed")
+    assert main(["symmetrize", "--poly", DIAMOND, "--op", "steiner"]) == 0
+    assert main(["estimate", "--body", BALL2, "--n", "6400"]) == 2
+
+
 def test_counterexample_verdicts(capsys):
     code, lines = run_lines(
         capsys, ["counterexample", "--d", "2", "--eps", "0.1", "--n", "100000", "--seed", "6"]
