@@ -182,6 +182,10 @@ CASES = {
     "sample/base_reject_tilted": lambda: _sample(BODIES["cut_tilted"]()),
     "sample/box_reject_simplex": lambda: _sample(gp.isotropic_simplex(3)),
     "sample/box_reject_polygon": lambda: _sample(gp.half_disk_polygon(64)),
+    # acceptance 0.167 at n = 40,000: several rounds, the first ones capped at REJECTION_BATCH
+    "sample/box_reject_capped": lambda: [
+        gp.sample_body(gp.SampleStream(21, 4), gp.isotropic_simplex(3), 40_000)
+    ],
     "sample/box_reject_affine": lambda: _sample(BODIES["affine_polygon"]()),
     "sample/slice": lambda: [
         gp.sample_slice(gp.SampleStream(13, 0), gp.half_ball(3), _oblique(3), 0.2, 2000)
@@ -248,6 +252,7 @@ GOLDEN = {
     "sample/base_reject": "4d6c29227b4874453143a49b606cc17a6f96a5937f9c4b20acff94d9b4e3eeb2",
     "sample/base_reject_tilted": "5b83b26db138e4ccd5cf8154b4e85f369f929da9d369ce3d4a8d725e9b45a3b0",
     "sample/box_reject_affine": "4d3882de76090ccf45281f31e917e5def3cf05441185a5d1afb2be762417c3a0",
+    "sample/box_reject_capped": "cb61c55ae97cc0d17f84cd6107e0241865db896305ae7867bac4ccaa1242a0a9",
     "sample/box_reject_polygon": "8d3247d653171942d5db1542d9137ce0001a917a11e3bbdf51304cc5497301d6",
     "sample/box_reject_simplex": "1ca5381d545d75fd937cc30cb8026ff6acf356d29894d2d827dfa8402c128e53",
     "sample/cone": "909c1acdf51fc2297231c086485aa0818882cbc72b0cabddd5e7e41db4a6935c",
