@@ -50,7 +50,7 @@ from .estimators import (
     pinned_moment_estimate,
 )
 from .report import ExperimentReport, round_floats
-from .sampling import SampleStream
+from .sampling import MASK64, SampleStream
 from .symmetry2d import (
     blaschke_shake,
     nested_polygon_pair,
@@ -83,13 +83,15 @@ def _emit_table(path: str | None, header: list[str], rows: list[list]) -> None:
 
 
 def _resolve_seed(args) -> int:
-    """--seed if given, else GEOMPROB_SEED, else 0."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GEOMPROB_SEED")
-    if env is not None and env.strip():
-        return int(env)
-    return 0
+    """--seed if given, else GEOMPROB_SEED, else 0; masked to 64 bits as SampleStream masks it."""
+    seed = args.seed
+    env = os.environ.get("GEOMPROB_SEED", "")
+    if seed is None and env.strip():
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"GEOMPROB_SEED must be an integer, got {env!r}") from None
+    return (seed or 0) & MASK64
 
 
 def _parse_range(text: str) -> list[int]:

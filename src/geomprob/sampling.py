@@ -40,6 +40,8 @@ MIX_MULT_2 = 0x94D049BB133111EB
 
 REJECTION_BATCH = 65536
 MAX_CONSECUTIVE_MISSES = 10**6
+ROUND_MARGIN = 1.15
+ROUND_SLACK = 32
 SLICE_BASIS_TOL = 1e-10
 
 
@@ -120,20 +122,51 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
     return out
 
 
-def _reject(n: int, d: int, propose, accept, source: str) -> np.ndarray:
+def _four_per_point(missing: int, tried: int, kept: int) -> int:
+    """Round size: four proposals per missing point, at least 1024."""
+    return min(REJECTION_BATCH, max(4 * missing, 1024))
+
+
+def _rate_sized(missing: int, tried: int, kept: int) -> int:
+    """Round size: the missing points at the acceptance rate seen so far.
+
+    The first round draws one proposal per missing point, at least 1024.
+    Later rounds scale by tried/kept with ROUND_MARGIN and ROUND_SLACK, so
+    that one more round usually finishes; until something has been
+    accepted they fall back to four proposals per missing point.
+    """
+    if tried == 0:
+        return min(REJECTION_BATCH, max(missing, 1024))
+    if kept == 0:
+        return _four_per_point(missing, tried, kept)
+    return min(REJECTION_BATCH, int(missing * tried / kept * ROUND_MARGIN) + ROUND_SLACK)
+
+
+def _reject(n: int, d: int, propose, accept, source: str, round_size) -> np.ndarray:
     """The first n accepted proposals, in proposal order.
 
     ``propose(m)`` draws m candidate points and ``accept(pts)`` masks the
     ones to keep; ``source`` ends the message of the starvation error.
+    ``round_size(missing, tried, kept)`` gives m for the next round from the
+    points still missing and the proposals tried and kept so far.
+
+    Where m proposals are one draw of m from the stream in order, as with
+    ``BoundingBox.uniform``, the result does not depend on the round sizes.
+    The stream's position after the call does, and is unspecified, so
+    callers sample from a fresh substream.
     """
     out = np.empty((n, d))
     got = 0
+    tried = 0
+    kept = 0
     misses = 0
     while got < n:
-        m = min(REJECTION_BATCH, max(4 * (n - got), 1024))
+        m = round_size(n - got, tried, kept)
         pts = propose(m)
         ok = accept(pts)
         k = int(ok.sum())
+        tried += m
+        kept += k
         if k == 0:
             misses += m
             if misses >= MAX_CONSECUTIVE_MISSES:
@@ -149,7 +182,7 @@ def _reject(n: int, d: int, propose, accept, source: str) -> np.ndarray:
 def _rejection_sample(stream, n, box, predicate) -> np.ndarray:
     """n points of the box accepted by the predicate, proposed uniformly."""
     source = "; body volume is negligible inside its bounding box"
-    return _reject(n, box.dim, lambda m: box.uniform(stream, m), predicate, source)
+    return _reject(n, box.dim, lambda m: box.uniform(stream, m), predicate, source, _rate_sized)
 
 
 def _direct_sampler(body: ConvexBody):
@@ -229,7 +262,10 @@ def sample_body(stream: SampleStream, body: ConvexBody, n: int) -> np.ndarray:
         base_fn = _direct_sampler(body.base)
         if base_fn is not None:
             accept = body.halfspace.contains_batch
-            return _reject(n, body.dim, lambda m: base_fn(stream, m), accept, " from the base sampler")
+            # sample_ball draws all normals, then all radii: its points depend on m
+            return _reject(
+                n, body.dim, lambda m: base_fn(stream, m), accept, " from the base sampler", _four_per_point
+            )
     box = bounding_box(body)
     if box.volume() <= 0:
         raise DegenerateBodyError("bounding box has zero volume")

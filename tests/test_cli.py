@@ -163,6 +163,24 @@ def test_env_seed_is_read_only_by_seeded_subcommands(capsys, monkeypatch):
     assert main(["estimate", "--body", BALL2, "--n", "6400"]) == 2
 
 
+def test_unparsable_env_seed_error_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("GEOMPROB_SEED", "abc")
+    assert main(["estimate", "--body", BALL2, "--n", "6400"]) == 2
+    err = capsys.readouterr().err
+    assert "GEOMPROB_SEED" in err
+    assert "'abc'" in err
+
+
+def test_env_seed_is_printed_masked_to_64_bits(capsys, monkeypatch):
+    # the seed a SampleStream uses: -3 mod 2**64
+    monkeypatch.setenv("GEOMPROB_SEED", "-3")
+    _, lines = run_lines(capsys, ["estimate", "--body", BALL2, "--n", "6400"])
+    assert lines[0]["seed"] == 18446744073709551613
+    text = _polygon_json(gp.bottom_pinned_polygon(gp.SampleStream(32, 0)))
+    _, lines = run_lines(capsys, ["plane-check", "--poly", text, "--x", "0,0", "--n", "3200"])
+    assert lines[0]["seed"] == 18446744073709551613
+
+
 def test_counterexample_verdicts(capsys):
     code, lines = run_lines(
         capsys, ["counterexample", "--d", "2", "--eps", "0.1", "--n", "100000", "--seed", "6"]

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import geomprob as gp
-from geomprob.sampling import _rejection_sample
+from geomprob.sampling import _four_per_point, _reject, _rejection_sample
 
 N_MOMENT = 200000
 SIGMA = 4.0
@@ -202,3 +204,59 @@ def test_slab_sampler_tilted_axis_moments():
     want = num / den
     se = float(proj.std() / math.sqrt(len(proj)))
     assert abs(float(proj.mean()) - want) <= 4.0 * se
+
+
+# ---------------------------------------------------------------------------
+# rounds of box rejection: sized from the acceptance rate, same points
+
+
+def _triangle_area(v) -> float:
+    (ax, ay), (bx, by), (cx, cy) = v
+    return abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / 2.0
+
+
+@st.composite
+def _box_bodies(draw):
+    """half_disk_polygon(64), isotropic_simplex(3), or a triangle filling at
+    least a fifth of its bounding box."""
+    kind = draw(st.sampled_from(["half_disk", "simplex", "triangle"]))
+    if kind == "half_disk":
+        return gp.half_disk_polygon(64)
+    if kind == "simplex":
+        return gp.isotropic_simplex(3)
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    v = np.array(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=3)))
+    box_area = float(np.prod(v.max(axis=0) - v.min(axis=0)))
+    assume(box_area > 1e-3 and _triangle_area(v) >= 0.2 * box_area)
+    return gp.Polygon2D(v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(body=_box_bodies(), n=st.integers(1, 20_000), seed=st.integers(0, 2**64 - 1))
+def test_box_rejection_is_first_n_accepted_of_one_draw(body, n, seed):
+    box = gp.bounding_box(body)
+    got = _rejection_sample(gp.SampleStream(seed, 3), n, box, body.contains_batch)
+    pool = box.uniform(gp.SampleStream(seed, 3), 64 * n)
+    accepted = pool[body.contains_batch(pool)]
+    assert len(accepted) >= n
+    assert np.array_equal(got, accepted[:n])
+    # base rejection's four-per-point rounds give the same points from box proposals
+    stream = gp.SampleStream(seed, 3)
+    fixed = _reject(n, box.dim, lambda m: box.uniform(stream, m), body.contains_batch, "", _four_per_point)
+    assert np.array_equal(fixed, got)
+
+
+def test_box_rejection_draws_few_proposals_beyond_the_expected(monkeypatch):
+    poly = gp.half_disk_polygon(64)
+    n = 40_000
+    drawn = []
+    uniform = gp.BoundingBox.uniform
+
+    def counted(self, stream, m):
+        drawn.append(m)
+        return uniform(self, stream, m)
+
+    monkeypatch.setattr(gp.BoundingBox, "uniform", counted)
+    gp.sample_body(gp.SampleStream(21, 4), poly, n)
+    expected = n * gp.bounding_box(poly).volume() / gp.exact_volume(poly)
+    assert sum(drawn) <= 1.25 * expected
