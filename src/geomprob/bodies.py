@@ -9,21 +9,22 @@ sampler and by affine round trips test as inside.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.special import betainc, betaincinv
 
 from . import exact
-from .errors import DimensionError, InvalidBodyError, SingularTransformError
+from .errors import DegenerateBodyError, DimensionError, InvalidBodyError, SingularTransformError
 
 DIM_CAP = 8
 MEMBERSHIP_ATOL = 1e-12
 VERTEX_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
-_NORMAL_MATCH_TOL = 1e-9
 
 
 def _as_vector(x, d: int | None = None) -> np.ndarray:
@@ -122,6 +123,69 @@ def _inside(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.nda
     return np.all(pts @ normals.T >= offsets - MEMBERSHIP_ATOL, axis=-1)
 
 
+def _rows(normals: np.ndarray, offsets: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
+    """A body's halfspace rows with the rows of the halfspaces ``cuts`` appended."""
+    if not cuts:
+        return normals, offsets
+    return (
+        np.vstack([normals, [h.normal for h in cuts]]),
+        np.concatenate([offsets, [h.offset for h in cuts]]),
+    )
+
+
+def _lp_support(normals: np.ndarray, offsets: np.ndarray, u: np.ndarray, box=None) -> tuple[float, float]:
+    """(min, max) of <u, x> over {x : <n_i, x> >= t_i}, within ``box`` if given, by two HiGHS LPs."""
+    bounds = (None, None) if box is None else np.column_stack([box.lo, box.hi])
+    ends = []
+    for sign in (1.0, -1.0):
+        res = linprog(sign * u, A_ub=-normals, b_ub=-offsets, bounds=bounds, method="highs")
+        if res.status == 3:
+            raise InvalidBodyError("the halfspaces are unbounded")
+        if res.status != 0:
+            raise DegenerateBodyError(f"support LP failed: {res.message}")
+        ends.append(float(u @ res.x))
+    return ends[0], ends[1]
+
+
+def _ball_cut_max(ball: "Ball", u: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> float:
+    """max of <u, x> over the ball intersected with {x : <n_i, x> >= t_i}, for unit u.
+
+    The best feasible candidate over the active sets S of linearly
+    independent rows. On the section of the ball by the flat
+    {<n_i, x> = t_i, i in S}, the candidates are p, the projection of the
+    center onto the flat, and the maximizer p + r w/|w|, where w is u
+    projected onto the flat's directions and r the section's radius. The
+    optimum has an active set whose maximizer is the optimum itself, or, where
+    u lies in the span of the active normals, whose projection p is an
+    optimum. Each candidate is tested for membership in the body, so none
+    overshoots.
+    """
+    d = ball.dim
+    best = -math.inf
+    for k in range(min(len(offsets), d) + 1):
+        for active in itertools.combinations(range(len(offsets)), k):
+            rows = normals[list(active)]
+            p, w = ball.center, u
+            if k:
+                if np.linalg.matrix_rank(rows) < k:
+                    continue
+                gram = rows @ rows.T
+                p = p + rows.T @ np.linalg.solve(gram, offsets[list(active)] - rows @ p)
+                w = w - rows.T @ np.linalg.solve(gram, rows @ w)
+            r2 = ball.radius**2 - float(np.sum((p - ball.center) ** 2))
+            if r2 < 0:
+                continue
+            wn = float(np.linalg.norm(w))
+            candidates = [p, p + (math.sqrt(r2) / wn) * w] if wn > 0 else [p]
+            for x in candidates:
+                inside = np.linalg.norm(x - ball.center) <= ball.radius + VERTEX_TOL
+                if inside and np.all(normals @ x >= offsets - VERTEX_TOL):
+                    best = max(best, float(u @ x))
+    if best == -math.inf:
+        raise DegenerateBodyError("the cut ball is empty")
+    return best
+
+
 def _tighten_box(box: BoundingBox, h: Halfspace) -> BoundingBox:
     """Intersect a box with a halfspace when the normal is axis aligned."""
     nz = np.nonzero(np.abs(h.normal) > UNIT_NORM_TOL)[0]
@@ -165,9 +229,9 @@ class ConvexBody:
     - ``contains_batch(pts)``: vectorized membership;
     - ``box()``: an axis-aligned ``BoundingBox`` containing the body;
     - ``volume()``: the closed-form volume, or None where there is none;
-    - ``support(v, sampled)``: (inf, sup) of <v, x>. Each nesting level
-      normalizes v; where no closed form applies, the body returns
-      ``sampled(body, unit_v)``, the extremes of a sample;
+    - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
+      intersected with the halfspaces ``cuts``, in closed form or by one LP
+      per end; each nesting level normalizes v. No body draws a sample;
     - ``to_json()``: the JSON object that ``body_from_json`` reads back.
 
     A new body type is one subclass; the module-level functions delegate.
@@ -205,9 +269,14 @@ class Ball(ConvexBody):
     def volume(self) -> float:
         return exact.kappa(self.dim).to_float() * self.radius**self.dim
 
-    def support(self, v, sampled) -> tuple[float, float]:
-        c = float(_unit(v) @ self.center)
-        return c - self.radius, c + self.radius
+    def support(self, v, cuts=()) -> tuple[float, float]:
+        u = _unit(v)
+        if not cuts:
+            c = float(u @ self.center)
+            return c - self.radius, c + self.radius
+        normals = np.array([h.normal for h in cuts])
+        offsets = np.array([h.offset for h in cuts])
+        return -_ball_cut_max(self, -u, normals, offsets), _ball_cut_max(self, u, normals, offsets)
 
     def to_json(self) -> dict:
         return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
@@ -273,19 +342,9 @@ class HPolytope(ConvexBody):
             return 0.0
         return float(np.prod(hi - lo))
 
-    def support(self, v, sampled) -> tuple[float, float]:
-        """Exact along facet normals (the stored offset is the minimum there), else sampled."""
-        v = _unit(v)
-        ends = []
-        for sign in (1.0, -1.0):
-            match = np.linalg.norm(self.normals - sign * v[None, :], axis=1) <= _NORMAL_MATCH_TOL
-            ends.append(sign * float(self.offsets[match].max()) if match.any() else None)
-        lo, hi = ends
-        if lo is None or hi is None:
-            s_lo, s_hi = sampled(self, v)
-            lo = s_lo if lo is None else lo
-            hi = s_hi if hi is None else hi
-        return lo, hi
+    def support(self, v, cuts=()) -> tuple[float, float]:
+        normals, offsets = _rows(self.normals, self.offsets, cuts)
+        return _lp_support(normals, offsets, _unit(v), self.bound)
 
     def to_json(self) -> dict:
         return {
@@ -356,16 +415,24 @@ class HalfBallCone(ConvexBody):
         cone = exact.kappa(d - 1).to_float() * (eps / d) * (1.0 - (delta / eps) ** d)
         return half + cone
 
-    def support(self, v, sampled) -> tuple[float, float]:
-        """Exact along the axis of the cone, else sampled."""
-        v = _unit(v)
-        e1 = np.zeros(self.d)
-        e1[0] = 1.0
-        if np.linalg.norm(v - e1) <= _NORMAL_MATCH_TOL:
-            return -self.eps + self.delta, 1.0
-        if np.linalg.norm(v + e1) <= _NORMAL_MATCH_TOL:
-            return -1.0, self.eps - self.delta
-        return sampled(self, v)
+    def support(self, v, cuts=()) -> tuple[float, float]:
+        """The larger of the half-ball's support and that of the tip disk.
+
+        The body is the half-ball joined to the frustum between the unit disk
+        at x_1 = 0 and the tip disk at x_1 = -eps + delta, of radius
+        delta/eps; the unit disk lies in the half-ball.
+        """
+        if cuts:
+            raise InvalidBodyError("a cut of a HalfBallCone has no closed-form support")
+        u = _unit(v)
+
+        def top(w: np.ndarray) -> float:
+            rest = float(np.linalg.norm(w[1:]))
+            half = 1.0 if w[0] >= 0 else rest
+            tip = float(w[0]) * (self.delta - self.eps) + self.delta / self.eps * rest
+            return max(half, tip)
+
+        return -top(-u), top(u)
 
     def to_json(self) -> dict:
         return {"type": "halfballcone", "d": self.d, "eps": self.eps, "delta": self.delta}
@@ -416,8 +483,12 @@ class Polygon2D(ConvexBody):
     def volume(self) -> float:
         return self.area()
 
-    def support(self, v, sampled) -> tuple[float, float]:
-        proj = self.vertices @ _unit(v)
+    def support(self, v, cuts=()) -> tuple[float, float]:
+        u = _unit(v)
+        if cuts:
+            normals, offsets = _rows(self.normals, self.offsets, cuts)
+            return _lp_support(normals, offsets, u, self.box())
+        proj = self.vertices @ u
         return float(proj.min()), float(proj.max())
 
     def to_json(self) -> dict:
@@ -459,17 +530,8 @@ class Cut(ConvexBody):
         frac = max(_ball_axis_cdf(d, s_hi) - _ball_axis_cdf(d, s_lo), 0.0)
         return exact.kappa(d).to_float() * root.radius**d * frac
 
-    def support(self, v, sampled) -> tuple[float, float]:
-        """The base's interval clipped where the cut normal is parallel to v, else sampled."""
-        v = _unit(v)
-        h = self.halfspace
-        if np.linalg.norm(h.normal - v) <= _NORMAL_MATCH_TOL:
-            lo, hi = self.base.support(v, sampled)
-            return max(lo, h.offset), hi
-        if np.linalg.norm(h.normal + v) <= _NORMAL_MATCH_TOL:
-            lo, hi = self.base.support(v, sampled)
-            return lo, min(hi, -h.offset)
-        return sampled(self, v)
+    def support(self, v, cuts=()) -> tuple[float, float]:
+        return self.base.support(v, (self.halfspace, *cuts))
 
     def to_json(self) -> dict:
         base, h = self.base.to_json(), self.halfspace
@@ -517,11 +579,16 @@ class AffineImage(ConvexBody):
             return None
         return abs(float(np.linalg.det(self.matrix))) * base
 
-    def support(self, v, sampled) -> tuple[float, float]:
+    def support(self, v, cuts=()) -> tuple[float, float]:
+        """The base's support along M^T v, each cut {<n, x> >= t} pulled back to
+        {<M^T n, y> >= t - <n, shift>}."""
         v = _unit(v)
         w = self.matrix.T @ v
         s = float(np.linalg.norm(w))
-        lo, hi = self.base.support(w / s, sampled)
+        pulled = tuple(
+            Halfspace.through(self.matrix.T @ h.normal, h.offset - float(h.normal @ self.shift)) for h in cuts
+        )
+        lo, hi = self.base.support(w / s, pulled)
         off = float(v @ self.shift)
         return s * lo + off, s * hi + off
 
@@ -799,6 +866,22 @@ def body_to_json(body: ConvexBody) -> dict:
     return body.to_json()
 
 
+def _check_bound(poly: HPolytope) -> None:
+    """Raise unless the stored bound contains the intersection of the halfspaces.
+
+    Rejection sampling proposes from the bound, so a bound that is too small
+    would silently truncate the body. Checked per axis, within VERTEX_TOL,
+    on the extremes of the halfspaces alone; unbounded halfspaces raise.
+    """
+    for j, axis in enumerate(np.eye(poly.dim)):
+        lo, hi = _lp_support(poly.normals, poly.offsets, axis)
+        if lo < poly.bound.lo[j] - VERTEX_TOL or hi > poly.bound.hi[j] + VERTEX_TOL:
+            raise InvalidBodyError(
+                f"hpoly bound [{poly.bound.lo[j]}, {poly.bound.hi[j]}] on axis {j} does not contain "
+                f"the halfspace intersection, which spans [{lo}, {hi}]"
+            )
+
+
 def body_from_json(data) -> ConvexBody:
     if isinstance(data, str):
         data = json.loads(data)
@@ -813,11 +896,13 @@ def body_from_json(data) -> ConvexBody:
                 np.asarray(data["bound"]["lo"], dtype=float),
                 np.asarray(data["bound"]["hi"], dtype=float),
             )
-            return HPolytope(
+            poly = HPolytope(
                 np.asarray(data["normals"], dtype=float),
                 np.asarray(data["offsets"], dtype=float),
                 bound,
             )
+            _check_bound(poly)
+            return poly
         if kind == "halfballcone":
             return HalfBallCone(int(data["d"]), float(data["eps"]), float(data.get("delta", 0.0)))
         if kind == "polygon":

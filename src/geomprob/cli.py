@@ -177,7 +177,7 @@ def run_derivative_check(args) -> int:
     body = body_from_json(args.body)
     v = _parse_vector(args.v)
     f, statistic = _statistic_for(args.f, body.dim)
-    fam = cut_family(body, v, seed=args.seed)
+    fam = cut_family(body, v)
     t = args.t if args.t is not None else fam.a
     h = args.h if args.h is not None else 0.02 * (fam.b - fam.a)
     stream = SampleStream(args.seed, 0)

@@ -38,7 +38,6 @@ from .report import ExperimentReport, MomentEstimate, mean_stderr
 from .sampling import sample_body, sample_slice, slice_measure
 
 CUT_ISOTROPY_TOL = 0.05
-SUPPORT_SAMPLES = 8192
 
 # an estimator handle: statistic(body, n, seed) -> MomentEstimate
 Statistic = Callable[[ConvexBody, int, object], MomentEstimate]
@@ -67,23 +66,22 @@ class CutFamily:
         return intersect_halfspace(self.body, Halfspace(self.v, float(t)))
 
 
-def support_interval(body: ConvexBody, v, seed=0) -> tuple[float, float]:
-    """(inf, sup) of <v, x> over the body, from the body's ``support`` method.
+def support_interval(body: ConvexBody, v) -> tuple[float, float]:
+    """The exact (inf, sup) of <v, x> over the body, from the body's ``support`` method.
 
-    Where no closed form applies, the extremes of SUPPORT_SAMPLES points sampled
-    from the innermost body where it runs out, which slightly underestimate the
-    interval.
+    Raises InvalidBodyError for a cut of a HalfBallCone, which has no closed form.
     """
-
-    def sampled(inner: ConvexBody, u: np.ndarray) -> tuple[float, float]:
-        proj = sample_body(_resolve_stream(seed).substream(97), inner, SUPPORT_SAMPLES) @ u
-        return float(proj.min()), float(proj.max())
-
-    return body.support(v, sampled)
+    lo, hi = body.support(v)
+    # + 0.0 turns a zero end computed as -0.0 into 0.0
+    return lo + 0.0, hi + 0.0
 
 
 def cut_family(body: ConvexBody, v, seed=0) -> CutFamily:
-    a, b = support_interval(body, v, seed=seed)
+    """The cut family of the body along v over its exact support interval.
+
+    ``seed`` is accepted and ignored: the support interval draws no samples.
+    """
+    a, b = support_interval(body, v)
     return CutFamily(body, v, a, b)
 
 
@@ -140,6 +138,10 @@ def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: in
     stream = _resolve_stream(seed)
     kt = fam.cut(t)
     d = kt.dim
+    smeas = slice_measure(stream.substream(2), kt, fam.v, t, n)
+    if smeas.mean == 0.0:
+        # tangent or empty slice: the cut removes nothing to first order
+        return MomentEstimate(0.0, 0.0, n)
     q = f.arity
     m = _batch_size(n)
     body_root = stream.substream(0)
@@ -153,7 +155,6 @@ def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: in
         cond = f.eval_batch(cond_pts)
         deltas[b] = float(np.mean(full - cond))
     dbar, dse = mean_stderr(deltas)
-    smeas = slice_measure(stream.substream(2), kt, fam.v, t, n)
     vol, vol_se = volume_with_stderr(kt, n, stream.substream(3))
     return _slice_rate(q, dbar, dse, smeas, vol, vol_se, m * BATCH_COUNT)
 
@@ -187,14 +188,19 @@ def detcov_derivative_rhs(fam: CutFamily, t: float, n: int, seed=0) -> MomentEst
     return _slice_rate(1, d - msq, msq_se, smeas, vol, vol_se, n)
 
 
-def finite_difference(
-    fam: CutFamily, t: float, h: float, statistic: Statistic, n: int, seed=0
-) -> MomentEstimate:
-    """(statistic(K_{t+h}) - statistic(K_t)) / h from independent substreams."""
+def _check_step(fam: CutFamily, t: float, h: float) -> None:
+    """Raise ValueError unless h > 0 and K_{t+h} stays within the support: t + h <= b."""
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
     if t + h > fam.b + 1e-12:
         raise ValueError(f"t + h = {t + h} exceeds the support maximum {fam.b}")
+
+
+def finite_difference(
+    fam: CutFamily, t: float, h: float, statistic: Statistic, n: int, seed=0
+) -> MomentEstimate:
+    """(statistic(K_{t+h}) - statistic(K_t)) / h from independent substreams."""
+    _check_step(fam, t, h)
     stream = _resolve_stream(seed)
     lo = statistic(fam.cut(t), n, stream.substream(0))
     hi = statistic(fam.cut(t + h), n, stream.substream(1))
@@ -209,6 +215,7 @@ def h_refinement_report(
     Sharing the base makes the discretization trend visible instead of
     being washed out by an independent redraw of the anchor value.
     """
+    _check_step(fam, t, h)
     stream = _resolve_stream(seed)
     base = statistic(fam.cut(t), n, stream.substream(0))
     out = []

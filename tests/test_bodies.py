@@ -299,6 +299,15 @@ def test_body_from_json_rejects_malformed():
         gp.body_from_json([1, 2, 3])
 
 
+def test_body_from_json_checks_hpoly_bound():
+    square = gp.body_to_json(gp.unit_cube(2))
+    assert isinstance(gp.body_from_json(square), gp.HPolytope)
+    with pytest.raises(gp.InvalidBodyError, match="bound"):
+        gp.body_from_json({**square, "bound": {"lo": [0, 0], "hi": [1, 0.5]}})
+    with pytest.raises(gp.InvalidBodyError, match="unbounded"):
+        gp.body_from_json({**square, "normals": [[1, 0], [0, 1]], "offsets": [0, 0]})
+
+
 # ---------------------------------------------------------------------------
 # spherical caps and slabs
 

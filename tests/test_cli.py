@@ -110,6 +110,17 @@ def test_derivative_check_analytic_square(capsys):
     assert rec["rel_err"] < 0.2
 
 
+def test_derivative_check_tangent_slice_rhs_is_zero(capsys):
+    # the default t is the support minimum, where the slice of a ball is a point
+    ball3 = json.dumps({"type": "ball", "center": [0, 0, 0], "radius": 1})
+    code, lines = run_lines(
+        capsys, ["derivative-check", "--body", ball3, "--v", "1,0,0", "--n", "6400", "--f", "coordsum"]
+    )
+    assert code == 0
+    assert lines[0]["t"] == -1.0
+    assert lines[0]["rhs"] == 0.0 and lines[0]["rhs_stderr"] == 0.0
+
+
 def test_symmetrize_shake_diamond(capsys):
     code, lines = run_lines(
         capsys, ["symmetrize", "--poly", DIAMOND, "--op", "shake", "--line", "-1.0"]
@@ -248,6 +259,13 @@ def test_malformed_body_is_usage_error(capsys):
     code = main(["estimate", "--body", "{not json", "--n", "1000"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_hpoly_bound_that_truncates_the_body_is_usage_error(capsys):
+    square = json.loads(SQUARE)
+    square["bound"]["hi"] = [0.5, 1]
+    assert main(["estimate", "--body", json.dumps(square), "--n", "6400"]) == 2
+    assert "bound" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import geomprob as gp
+from test_golden_digests import BODIES
 
 N_FAST = 200000
 SIGMA = 4.0
@@ -42,9 +43,9 @@ def test_support_interval_simplex_facet_minimum_exact():
     sim = gp.isotropic_simplex(3)
     u = gp.regular_simplex_vertices(3)[0]
     lo, hi = gp.support_interval(sim, u)
-    assert math.isclose(lo, -math.sqrt(15.0) / 3.0, rel_tol=1e-12)
-    # the opposite extreme is a lone vertex; sampling only approaches it
-    assert hi <= math.sqrt(15.0) + 1e-9
+    assert abs(lo + math.sqrt(15.0) / 3.0) <= 1e-12
+    # the opposite extreme is a lone vertex
+    assert abs(hi - math.sqrt(15.0)) <= 1e-12
 
 
 def test_support_interval_affine_image():
@@ -68,7 +69,7 @@ def test_support_interval_cut_axis_exact(sign):
 
 
 @pytest.mark.parametrize("affine", [False, True])
-def test_support_interval_cut_oblique_sampled_inside_exact(affine):
+def test_support_interval_cut_oblique_exact(affine):
     # along a unit u = (a, b, 0) with a, b > 0 the half-ball spans exactly [-b, 1]
     v = np.array([0.6, 0.8, 0.0])
     if affine:
@@ -80,8 +81,43 @@ def test_support_interval_cut_oblique_sampled_inside_exact(affine):
         body, scale, off, u = gp.half_ball(3), 1.0, 0.0, v
     lo_exact, hi_exact = scale * -u[1] + off, scale + off
     lo, hi = gp.support_interval(body, v)
-    # no closed form applies along v: sampled extremes lie inside the exact interval
-    assert lo_exact - 1e-9 <= lo < hi <= hi_exact + 1e-9
+    assert abs(lo - lo_exact) <= 1e-12 and abs(hi - hi_exact) <= 1e-12
+
+
+GATE_BODIES = sorted(name for name in BODIES if name != "cut_cone")
+
+
+@pytest.mark.parametrize("name", GATE_BODIES)
+def test_support_interval_contains_sampled_extremes(name, monkeypatch):
+    # along 100 seeded random directions the exact interval holds every one of
+    # 10^5 sampled points, and computing it draws no sample
+    body = BODIES[name]()
+    pts = gp.sample_body(gp.SampleStream(50, 0), body, 10**5)
+    dirs = np.random.default_rng(51).normal(size=(100, body.dim))
+    calls = []
+    original = gp.sampling.sample_body
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (gp, gp.sampling, gp.derivatives, gp.estimators):
+        monkeypatch.setattr(module, "sample_body", counting)
+    intervals = np.array([gp.support_interval(body, v) for v in dirs])
+    assert calls == []
+    proj = pts @ (dirs / np.linalg.norm(dirs, axis=1, keepdims=True)).T
+    # sampled points pass membership within MEMBERSHIP_ATOL of the boundary
+    assert np.all(intervals[:, 0] <= proj.min(axis=0) + 1e-9)
+    assert np.all(proj.max(axis=0) <= intervals[:, 1] + 1e-9)
+    # and come within 5% of the width (3.2% at most here): the interval is not a loose bound
+    slack = 0.05 * (intervals[:, 1] - intervals[:, 0])
+    assert np.all(proj.min(axis=0) <= intervals[:, 0] + slack)
+    assert np.all(intervals[:, 1] - slack <= proj.max(axis=0))
+
+
+def test_support_interval_of_cut_cone_raises():
+    with pytest.raises(gp.InvalidBodyError):
+        gp.support_interval(BODIES["cut_cone"](), [1.0, 0.0, 0.0])
 
 
 def test_cut_family_normalizes_and_cuts():
@@ -212,6 +248,14 @@ def test_finite_difference_ball_cap_loss_rate():
 
     fd = gp.finite_difference(fam, 0.0, 0.05, vol_stat, 400000, seed=42)
     assert abs(fd.z_against(-math.pi)) <= SIGMA
+
+
+def test_h_refinement_validates_step():
+    fam = gp.cut_family(gp.half_ball(3), [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        gp.h_refinement_report(fam, 0.2, moment_stat, -0.1, 1000, seed=44)
+    with pytest.raises(ValueError):
+        gp.h_refinement_report(fam, 0.9, moment_stat, 0.4, 1000, seed=44)
 
 
 def test_h_refinement_errors_shrink_on_analytic_family():
