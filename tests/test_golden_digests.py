@@ -245,19 +245,19 @@ GOLDEN = {
     "estimate/slice_measure": "0f9d87a3322da7e9049fddcbb6d669aa1da751722dacb12d11884e2b9d3954c5",
     "estimate/slice_measure_d4": "c82de94083d0a5430b58fc0eb60cce1ef8ad6d266c219d2d011e0fbe84b24eb2",
     "estimate/volume": "dbb64cb9d861922da3c0328b96ae5fc04469101c09e7b2e08a98b506bf3f51e9",
-    "geometry/affine_half_ball": "d036331b546b590653d159c4f8c6cc0dbbc75364583ea7c811f879223888a388",
+    "geometry/affine_half_ball": "091edd25b0503a037bd5b3fbdf2776b9dbb0c74f9eeab0e5afa099787ade1c47",
     "geometry/affine_polygon": "0108c8ab6fb62fbc4b6ddf01db6caa98ae7bc5706c29782bdadd453d6f2d0510",
-    "geometry/affine_tilted_cut": "3e9a034b6cbc4e3f674e32c1a680b1205b6e01ca51d1fac89314478a6960b97e",
+    "geometry/affine_tilted_cut": "d9ab96ad03d8fdcee22fc59a4c9ebad452a4136daea10a12de1c1da03861f543",
     "geometry/ball": "fa33a3f92ae4a38a225abbacfd38e17276db73f38c1ac124bed1f283fc072bd0",
-    "geometry/cut_cone": "72bb993ad416de271f0615034abf4cae28274460f23b9ddce86184af6a68f677",
-    "geometry/cut_half_ball": "c4008f668670c498b8ba2864b5c16182970091d6ec3dd8ff09704840a4362790",
-    "geometry/cut_hpoly": "544ca18726147e63cc81901b535e67a2438fed48327a10bf42b275b21557e39b",
-    "geometry/cut_slab": "a4a217993533488570d9e9f47ba57a345abafca1a7fda006b6a68f926e37ffde",
-    "geometry/cut_tilted": "1835a09669735b599ee242da69c17938ccc611bed918c1d1f883c405483045c4",
-    "geometry/halfballcone": "d62867717904408db225f892c74457fb1dc2c6dc17a55d6c35b4d3372b1e7e13",
-    "geometry/hpoly_cube": "6d3b6538930f8a65458ff7f6e41691d310e52ce89edc198b0cb71f13bdb5190b",
-    "geometry/hpoly_hull": "83db0f5c882074f7c92cdb557500b988537e40707212454f95f594f851b2ed3b",
-    "geometry/hpoly_simplex": "77fc229335ebde319e2f347fdc9e7172925f5cc71acb46bd3cc23266b5847c2f",
+    "geometry/cut_cone": "97a88734109055f6924da8ae723c1b96af29e8e6e957e81a9c61412e7b839b41",
+    "geometry/cut_half_ball": "ea65bd9c72808e9050c813de568c01fb28be21435dd76896da5f50c64399d6e3",
+    "geometry/cut_hpoly": "dab278ce83bfa470a89f9c73adba592b3017078a37528c4732de544ea2d3a0d6",
+    "geometry/cut_slab": "8e634a3e6d89ff76d4bf45d970104e5387b9c85f7464a319494a25fa1bd5a777",
+    "geometry/cut_tilted": "a5345d6e4b85889e4206d5a2e82e346356f01e00a1d3d1fada557489a88ee75e",
+    "geometry/halfballcone": "1fa28f935086f6d02ba369c23a97d07445fa848c80b534a7520d9b8f71f648eb",
+    "geometry/hpoly_cube": "969941c74302daf1cfd28443f7c636622775f74e0f781e403dd175fd06059ad9",
+    "geometry/hpoly_hull": "03907591b871eb0afacdcaf782d0536b359be8a54cc03b8d55ec1fddc987bb17",
+    "geometry/hpoly_simplex": "63b56920ff877a7e2caed983a3aa093bc885c77a3ea3117a99b5fe567ad4f201",
     "geometry/polygon": "dcd740c946df58e05d40c2ec7d852d71b3830bc04dbd6dfb49f21010498487a6",
     "membership/polygon_boundary": "ea5dbac86c05f856eab744e2ed55a4240fb0b1970087c8b11a57e7de6612a656",
     "sample/ball": "af4fb8fd4a80d722f10408c09dd766af66f311abfdaa14c3b82edf78c39d9b67",
