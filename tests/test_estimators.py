@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import geomprob as gp
+from geomprob.estimators import _det
 
 N_FAST = 200000
 SIGMA = 4.0
@@ -29,6 +33,78 @@ def test_batch_volumes_match_scalar():
     for i in range(50):
         stacked = np.vstack([x[None, :], pts[i, :3, :]])
         assert math.isclose(pinned[i], gp.simplex_volume(stacked), rel_tol=1e-12)
+
+
+def _hadamard(m: np.ndarray) -> np.ndarray:
+    """Product of the row norms, the bound on |det| that scales its rounding error."""
+    return np.prod(np.linalg.norm(m, axis=-1), axis=-1)
+
+
+def _assert_det_matches_lapack(m: np.ndarray) -> None:
+    got = _det(m)
+    assert got.shape == (m.shape[0],)
+    assert np.all(np.abs(got - np.linalg.det(m)) <= 1e-12 * _hadamard(m))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_det_matches_lapack_on_random_stacks(d):
+    rng = np.random.default_rng(100 + d)
+    _assert_det_matches_lapack(rng.standard_normal((2000, d, d)))
+    _assert_det_matches_lapack(rng.random((2000, d + 1, d))[:, 1:, :] - rng.random((2000, 1, d)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    m=st.integers(1, 4).flatmap(
+        lambda d: arrays(np.int64, st.tuples(st.integers(0, 6), st.just(d), st.just(d)), elements=st.integers(-1024, 1024))
+    ),
+    scale=st.sampled_from([1.0, 1.0 / 1024, 1e-3, 37.5]),
+)
+def test_det_matches_lapack_property(m, scale):
+    _assert_det_matches_lapack(m * scale)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_volume_kernels_exact_on_unit_simplex(d):
+    corners = np.vstack([np.zeros(d), np.eye(d)])
+    assert gp.batch_simplex_volumes(corners[None])[0] == 1.0 / math.factorial(d)
+    assert gp.batch_pinned_volumes(np.zeros(d), corners[None, 1:])[0] == 1.0 / math.factorial(d)
+    assert _det(np.eye(d)[None])[0] == 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_volume_kernels_zero_for_repeated_point(d):
+    rng = np.random.default_rng(200 + d)
+    x = rng.standard_normal(d)
+    for i in range(1, d + 1):
+        pts = rng.standard_normal((50, d + 1, d))
+        pts[:, i] = pts[:, 0]
+        assert np.all(gp.batch_simplex_volumes(pts) == 0.0)
+        pinned = rng.standard_normal((50, d, d))
+        pinned[:, i - 1] = x
+        assert np.all(gp.batch_pinned_volumes(x, pinned) == 0.0)
+
+
+def test_det_beyond_four_is_lapack():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((300, 5, 5))
+    assert np.array_equal(_det(m), np.linalg.det(m))
+    pts = rng.standard_normal((300, 6, 5))
+    want = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(5)
+    assert np.array_equal(gp.batch_simplex_volumes(pts), want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_volume_kernels_reject_non_square_stacks(d):
+    rng = np.random.default_rng(d)
+    with pytest.raises(np.linalg.LinAlgError):
+        gp.batch_pinned_volumes(np.zeros(d), rng.random((10, d + 1, d)))
+    with pytest.raises(np.linalg.LinAlgError):
+        gp.batch_pinned_volumes(np.zeros(d), rng.random((10, d - 1, d)))
+    with pytest.raises(np.linalg.LinAlgError):
+        gp.batch_simplex_volumes(rng.random((10, d + 2, d)))
+    with pytest.raises(np.linalg.LinAlgError):
+        gp.batch_simplex_volumes(rng.random((10, d, d)))
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1)])
