@@ -122,11 +122,6 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
     return out
 
 
-def _four_per_point(missing: int, tried: int, kept: int) -> int:
-    """Round size: four proposals per missing point, at least 1024."""
-    return min(REJECTION_BATCH, max(4 * missing, 1024))
-
-
 def _rate_sized(missing: int, tried: int, kept: int) -> int:
     """Round size: the missing points at the acceptance rate seen so far.
 
@@ -138,7 +133,7 @@ def _rate_sized(missing: int, tried: int, kept: int) -> int:
     if tried == 0:
         return min(REJECTION_BATCH, max(missing, 1024))
     if kept == 0:
-        return _four_per_point(missing, tried, kept)
+        return min(REJECTION_BATCH, max(4 * missing, 1024))
     return min(REJECTION_BATCH, int(missing * tried / kept * ROUND_MARGIN) + ROUND_SLACK)
 
 
@@ -262,10 +257,8 @@ def sample_body(stream: SampleStream, body: ConvexBody, n: int) -> np.ndarray:
         base_fn = _direct_sampler(body.base)
         if base_fn is not None:
             accept = body.halfspace.contains_batch
-            # sample_ball draws all normals, then all radii: its points depend on m
-            return _reject(
-                n, body.dim, lambda m: base_fn(stream, m), accept, " from the base sampler", _four_per_point
-            )
+            # sample_ball draws all normals, then all radii: its points depend on the round sizes
+            return _reject(n, body.dim, lambda m: base_fn(stream, m), accept, " from the base sampler", _rate_sized)
     box = bounding_box(body)
     if box.volume() <= 0:
         raise DegenerateBodyError("bounding box has zero volume")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import geomprob as gp
-from geomprob.sampling import _four_per_point, _reject, _rejection_sample
+from geomprob.sampling import REJECTION_BATCH, _reject, _rejection_sample
 
 N_MOMENT = 200000
 SIGMA = 4.0
@@ -240,9 +240,13 @@ def test_box_rejection_is_first_n_accepted_of_one_draw(body, n, seed):
     accepted = pool[body.contains_batch(pool)]
     assert len(accepted) >= n
     assert np.array_equal(got, accepted[:n])
-    # base rejection's four-per-point rounds give the same points from box proposals
+    # other round sizes, here four proposals per missing point, give the same points
     stream = gp.SampleStream(seed, 3)
-    fixed = _reject(n, box.dim, lambda m: box.uniform(stream, m), body.contains_batch, "", _four_per_point)
+
+    def four_per_point(missing, tried, kept):
+        return min(REJECTION_BATCH, max(4 * missing, 1024))
+
+    fixed = _reject(n, box.dim, lambda m: box.uniform(stream, m), body.contains_batch, "", four_per_point)
     assert np.array_equal(fixed, got)
 
 
@@ -260,3 +264,23 @@ def test_box_rejection_draws_few_proposals_beyond_the_expected(monkeypatch):
     gp.sample_body(gp.SampleStream(21, 4), poly, n)
     expected = n * gp.bounding_box(poly).volume() / gp.exact_volume(poly)
     assert sum(drawn) <= 1.25 * expected
+
+
+def test_base_rejection_draws_few_proposals_at_high_acceptance(monkeypatch):
+    # the cap {y < -0.9} holds 0.7% of the half-ball: one rate-sized round
+    # and a short second one, not four proposals per point
+    body = gp.Cut(gp.half_ball(3), gp.Halfspace.through([0.0, 1.0, 0.0], -0.9))
+    n = 20_000
+    seen = []
+    contains = gp.Halfspace.contains_batch
+
+    def counted(self, pts):
+        seen.append(len(pts))
+        return contains(self, pts)
+
+    monkeypatch.setattr(gp.Halfspace, "contains_batch", counted)
+    pts = gp.sample_body(gp.SampleStream(21, 4), body, n)
+    proposals = sum(seen)
+    monkeypatch.undo()
+    assert n <= proposals <= 1.2 * n + 1024
+    assert body.contains_batch(pts).all()
