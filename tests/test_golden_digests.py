@@ -16,8 +16,10 @@ stream changes.
 
 Recorded with numpy 2.4.6 and scipy 1.17.1 on Python 3.11.7. Other
 versions of these libraries may change the last bits of their kernels
-(``ndtri``, ``betainc``, ``betaincinv``, ``det``) and with them some
-digests.
+(``ndtri``, ``betainc``, ``betaincinv``, and LAPACK's ``det`` where it is
+still used) and with them some digests. Simplex volumes for d <= 4 are
+closed-form products in numpy, so their digests do not depend on the
+LAPACK build.
 """
 
 import hashlib
@@ -241,7 +243,7 @@ GOLDEN = {
     "derivative/detcov_square": "141390cd01fd0e1cd4e48d7486158f31935fd720acdf49d064aaba7e6db9f8c4",
     "estimate/det_cov": "8beab9300efda60e95cd29c6f3033b2844bd6326e2613c73c0ee2d8846206709",
     "estimate/det_cov_increase": "0bb038b22a5f055923e1a691d6647b255e0cdc6c126e070fd3567626c83a6774",
-    "estimate/moment": "e6e784c1797c1cf56547b499e430ea954a1c44968a828ea247d18918c72e684b",
+    "estimate/moment": "f36a7cba7cf29d1294813ace6f1e0939b5a5ee5e0ec2205e470ac6fff49878b8",
     "estimate/slice_measure": "0f9d87a3322da7e9049fddcbb6d669aa1da751722dacb12d11884e2b9d3954c5",
     "estimate/slice_measure_d4": "c82de94083d0a5430b58fc0eb60cce1ef8ad6d266c219d2d011e0fbe84b24eb2",
     "estimate/volume": "dbb64cb9d861922da3c0328b96ae5fc04469101c09e7b2e08a98b506bf3f51e9",
@@ -261,8 +263,8 @@ GOLDEN = {
     "geometry/polygon": "dcd740c946df58e05d40c2ec7d852d71b3830bc04dbd6dfb49f21010498487a6",
     "membership/polygon_boundary": "ea5dbac86c05f856eab744e2ed55a4240fb0b1970087c8b11a57e7de6612a656",
     "sample/ball": "af4fb8fd4a80d722f10408c09dd766af66f311abfdaa14c3b82edf78c39d9b67",
-    "sample/base_reject": "4d6c29227b4874453143a49b606cc17a6f96a5937f9c4b20acff94d9b4e3eeb2",
-    "sample/base_reject_tilted": "5b83b26db138e4ccd5cf8154b4e85f369f929da9d369ce3d4a8d725e9b45a3b0",
+    "sample/base_reject": "bf356216fce0113405b53c1bb50c1c0c46c96ef1eb82e960248b5f514756eef7",
+    "sample/base_reject_tilted": "a81cd239c451ff4bffd060ff73dd74a392a14f75b6c97ba117bcd341fa7e23aa",
     "sample/box_reject_affine": "4d3882de76090ccf45281f31e917e5def3cf05441185a5d1afb2be762417c3a0",
     "sample/box_reject_capped": "cb61c55ae97cc0d17f84cd6107e0241865db896305ae7867bac4ccaa1242a0a9",
     "sample/box_reject_polygon": "8d3247d653171942d5db1542d9137ce0001a917a11e3bbdf51304cc5497301d6",
@@ -279,7 +281,7 @@ GOLDEN = {
     "stream/uniform": "7876d35df7d632cc0b495dd280cfb9ff895ec2465313d7fce0646aa43851958a",
     "symmetry2d/bottom_pinned_polygon": "e5a188152f1429d745632c766870818eb567fa5db4e87c969ae1973ad7a49f24",
     "symmetry2d/nested_polygon_pair": "4726650847b97dd5d42289f5f727a0156747b2c71fd3de26388fa2346be4a215",
-    "symmetry2d/plane_pipeline": "81dd750ec70918559cdabf1ddd5df4fb5850f1f8d36d5fac7f8606c21bd47310",
+    "symmetry2d/plane_pipeline": "40f1e763c00727e723ad8cb8b7fd73df2c451d2a80e656fa383fb04efaebcb4e",
     "symmetry2d/random_convex_polygon": "04760e275ecb534a0a3dcab74296bb7be33e65b95fcb90cb572a1021a31adcff",
     "symmetry2d/shake": "98d1d7a23c3134cd8901cdb6d95b18a20f5834128747a72e4e0942fe556eebbf",
     "symmetry2d/steiner": "a32cca6862dd173fd49bd7d38863186d5a378580d658499758b5a2605da18f67",
