@@ -102,18 +102,29 @@ def _det(m: np.ndarray) -> np.ndarray:
     )
 
 
+def _edges(points: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """points - base for a stack (n, k, d), with base broadcasting as (n or 1, 1, d).
+
+    The result is an (n, k, d) view of a (k, d, n) array, so that each entry
+    taken across the stack, ``edges[:, i, j]``, is contiguous for ``_det``.
+    """
+    if points.ndim != 3:
+        return points - base
+    out = np.empty(points.shape[1:] + points.shape[:1])
+    np.subtract(points.transpose(1, 2, 0), base.transpose(1, 2, 0), out=out)
+    return out.transpose(2, 0, 1)
+
+
 def batch_simplex_volumes(points: np.ndarray) -> np.ndarray:
     """Volumes for a stack of simplices, shape (n, d+1, d) -> (n,)."""
     d = points.shape[-1]
-    edges = points[:, 1:, :] - points[:, :1, :]
-    return np.abs(_det(edges)) / math.factorial(d)
+    return np.abs(_det(_edges(points[:, 1:, :], points[:, :1, :]))) / math.factorial(d)
 
 
 def batch_pinned_volumes(x: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Volumes of simplices pinned at x, points shape (n, d, d) -> (n,)."""
     d = points.shape[-1]
-    edges = points - x[None, None, :]
-    return np.abs(_det(edges)) / math.factorial(d)
+    return np.abs(_det(_edges(points, x[None, None, :]))) / math.factorial(d)
 
 
 def expectation_estimate(body: ConvexBody, fn, arity: int, n: int, seed) -> MomentEstimate:
