@@ -668,13 +668,90 @@ def _ball_axis_cdf(d: int, s: float) -> float:
 
 
 def _ball_axis_ppf(d: int, q: np.ndarray) -> np.ndarray:
-    """Inverse of _ball_axis_cdf, vectorized over quantiles in [0, 1]."""
+    """Inverse of _ball_axis_cdf, vectorized over quantiles in [0, 1].
+
+    Each quantile is folded onto the lower half, qq = min(q, 1 - q) <= 1/2,
+    where s <= 0, and the result is mirrored. d = 3 inverts the cubic CDF in
+    closed form, d = 4 polishes a table by Newton steps, and every other
+    dimension uses ``betaincinv``. Absolute error is below 1e-15 against a
+    40-digit reference for d = 1..6.
+    """
     q = np.asarray(q, dtype=float)
+    upper = q > 0.5
+    qq = np.where(upper, 1.0 - q, q)
+    if d == 3:
+        s = _lower_ppf_d3(qq)
+    elif d == 4:
+        s = _lower_ppf_d4(qq)
+    else:
+        s = _lower_ppf_beta(d, qq)
+    s = np.clip(s, -1.0, 0.0)
+    return np.where(upper, -s, s)
+
+
+def _lower_ppf_d3(qq: np.ndarray) -> np.ndarray:
+    """s <= 0 with (2 + 3s - s^3)/4 = qq, by the trigonometric root of the cubic."""
+    return 2.0 * np.sin((2.0 * np.arcsin(np.sqrt(qq)) - 0.5 * math.pi) / 3.0)
+
+
+# d = 4: with s = -cos u the axis CDF is G(u) / (3 pi / 8), where
+# G(u) = int_0^u sin^4 = 3u/8 - 3 sin u cos u / 8 - sin^3 u cos u / 4.
+# Below D4_SERIES_U the closed form cancels, and G is summed from its Taylor
+# series sum_k (-1)^k (16^k - 4^(k+1)) / (8 (2k)! (2k+1)) u^(2k+1), k >= 2.
+D4_TABLE_NODES = 1024
+D4_SERIES_U = 1.0
+D4_NEWTON_STEPS = 2
+_D4_SERIES = tuple(
+    (-1) ** k * (16**k - 4 ** (k + 1)) / (8 * math.factorial(2 * k) * (2 * k + 1)) for k in range(15, 1, -1)
+)
+_d4_table: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _d4_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = qq^(1/5) on [0, 2^(-1/5)] and the angle u at each, from betaincinv.
+
+    Built on the first call; u is smooth in t because G(u) ~ u^5 / 5 at 0.
+    """
+    global _d4_table
+    if _d4_table is None:
+        t = np.linspace(0.0, 0.5**0.2, D4_TABLE_NODES + 1)
+        x = betaincinv(2.5, 0.5, np.minimum(2.0 * t**5, 1.0))
+        _d4_table = (t, np.arccos(np.sqrt(np.maximum(1.0 - x, 0.0))))
+    return _d4_table
+
+
+def _lower_ppf_d4(qq: np.ndarray) -> np.ndarray:
+    """s <= 0 with the d = 4 axis CDF at qq: table start, then Newton steps on G(u)."""
+    t, u_nodes = _d4_nodes()
+    shape, qq = qq.shape, qq.reshape(-1)
+    u = np.interp(qq**0.2, t, u_nodes)
+    target = qq * (0.375 * math.pi)
+    small = np.flatnonzero(u < D4_SERIES_U)
+    for _ in range(D4_NEWTON_STEPS):
+        sin_u, cos_u = np.sin(u), np.cos(u)
+        g = 0.375 * u - 0.375 * sin_u * cos_u - 0.25 * sin_u**3 * cos_u
+        us = u[small]
+        u2 = us * us
+        series = np.zeros_like(us)
+        for c in _D4_SERIES:
+            series = series * u2 + c
+        g[small] = series * u2 * u2 * us
+        slope = (sin_u * sin_u) ** 2
+        u = u - np.divide(g - target, slope, out=np.zeros_like(u), where=slope > 0.0)
+    return -np.cos(u).reshape(shape)
+
+
+def _lower_ppf_beta(d: int, qq: np.ndarray) -> np.ndarray:
+    """s <= 0 with the axis CDF at qq, from betaincinv.
+
+    With x = 1 - s^2 the lower half is I_x((d+1)/2, 1/2) = 2 qq. From qq = 0.1
+    on, s^2 = 1 - x comes straight from the mirrored function
+    I_{1-x}(1/2, (d+1)/2) = 1 - 2 qq, which keeps its precision as s -> 0.
+    """
     a = (d + 1) / 2.0
-    lower = q <= 0.5
-    x = betaincinv(a, 0.5, np.where(lower, 2.0 * q, 2.0 * (1.0 - q)))
-    s = np.sqrt(np.maximum(1.0 - x, 0.0))
-    return np.where(lower, -s, s)
+    tail = qq < 0.1
+    y = betaincinv(np.where(tail, a, 0.5), np.where(tail, 0.5, a), np.where(tail, 2.0 * qq, 1.0 - 2.0 * qq))
+    return -np.sqrt(np.maximum(np.where(tail, 1.0 - y, y), 0.0))
 
 
 def _cut_chain(body: ConvexBody) -> tuple[list[Halfspace], ConvexBody]:

@@ -217,7 +217,11 @@ def _slab_sampler(ball: Ball, axis: np.ndarray, s_lo: float, s_hi: float):
 
     The axis coordinate is drawn by inverting its marginal CDF between the
     slab quantiles; the transverse part is uniform in the section ball. No
-    rejection, so arbitrarily thin caps cost the same as thick ones.
+    rejection, so arbitrarily thin caps cost the same as thick ones. Each
+    point takes one uniform for the axis and d - 1 normals and one uniform
+    for the section. The inverse CDF (``_ball_axis_ppf``) is the closed-form
+    root of a cubic at d = 3, a table polished by Newton steps at d = 4, and
+    ``betaincinv`` at any other d.
     """
     d = ball.dim
     q_lo = _ball_axis_cdf(d, s_lo)
