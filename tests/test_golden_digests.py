@@ -237,7 +237,7 @@ CASES = {
 CASES.update({f"geometry/{name}": (lambda name=name: _geometry(name)) for name in BODIES})
 
 GOLDEN = {
-    "derivative/crofton_coordsum": "ec05c45b7312fcbf0c0c080b3dfb7937f6a4d48d72891f306f72c8ea1e5a85fb",
+    "derivative/crofton_coordsum": "109317e145adc51cd6226de2e2baa102eb039c7e57f81f5b2f46ddec1149eb5d",
     "derivative/crofton_simplexvol": "e95252c1660208f84020b6285daaa77236ef969a04fce7493a988caac8ff2e26",
     "derivative/detcov_simplex": "5bbadb72125bcb99bae06bf20e15aa816337991a967ecd6d6fbcf6d8d7cd35c6",
     "derivative/detcov_square": "141390cd01fd0e1cd4e48d7486158f31935fd720acdf49d064aaba7e6db9f8c4",
@@ -272,8 +272,8 @@ GOLDEN = {
     "sample/cone": "909c1acdf51fc2297231c086485aa0818882cbc72b0cabddd5e7e41db4a6935c",
     "sample/reflect": "6cca3e896f4e846f5aac832a0c0998986d6b115eefb56e7d609cb635069ed2ff",
     "sample/reflect_affine": "d91eb89de1c8e00277d57a6503b1a89c0c86034b5732438fbee3e841969924fb",
-    "sample/slab": "270e0e36b66ef4ec931c2590a62e85c8fa8064de004c9e8e16fa334b92b1eeb3",
-    "sample/slab_two_sided": "d8f01a25f3bdf9635ec2a14c1f13eeb77e6aa657ed92d43eb864dcbd420ed6ce",
+    "sample/slab": "3d24780912c3cd45aaaab425ae643c66bc80ad64bca38b466bf6493e3cd3584b",
+    "sample/slab_two_sided": "e4adfb999d8a6e52f24e3b3a869bb07e78bfba108963a9059d22dbb0b92cc43b",
     "sample/slice": "6860e7fbf979895fcbb5f2398adbf35dfc5e87841b3170cc88a6bd49c032dedf",
     "sample/slice_d4": "5cd831eb552793651aeb9a30a0b6465d4cbd0c3c5badd20520ac248d7770221b",
     "stream/normal": "cc7660378137af362b9d7f5f3d1836d841debdae895dfc85e864851e702e8ffe",
