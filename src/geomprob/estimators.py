@@ -27,6 +27,7 @@ from .sampling import SampleStream, sample_body
 
 BATCH_COUNT = 64
 MIN_COVARIANCE_EIGENVALUE = 1e-9
+VOLUME_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -115,16 +116,32 @@ def _edges(points: np.ndarray, base: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
+def _volumes(points: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """|det(points - base)| / d! per simplex, VOLUME_CHUNK simplices at a time.
+
+    Each chunk's edge stack stays in cache while ``_det`` reads it entry by
+    entry; the arithmetic per simplex, and so every bit, is the same as for
+    one whole-stack pass.
+    """
+    d = points.shape[-1]
+    n = points.shape[0]
+    if points.ndim != 3 or n <= VOLUME_CHUNK:
+        return np.abs(_det(_edges(points, base))) / math.factorial(d)
+    out = np.empty(n)
+    for i in range(0, n, VOLUME_CHUNK):
+        part = slice(i, i + VOLUME_CHUNK)
+        out[part] = np.abs(_det(_edges(points[part], base if base.shape[0] == 1 else base[part])))
+    return out / math.factorial(d)
+
+
 def batch_simplex_volumes(points: np.ndarray) -> np.ndarray:
     """Volumes for a stack of simplices, shape (n, d+1, d) -> (n,)."""
-    d = points.shape[-1]
-    return np.abs(_det(_edges(points[:, 1:, :], points[:, :1, :]))) / math.factorial(d)
+    return _volumes(points[:, 1:, :], points[:, :1, :])
 
 
 def batch_pinned_volumes(x: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Volumes of simplices pinned at x, points shape (n, d, d) -> (n,)."""
-    d = points.shape[-1]
-    return np.abs(_det(_edges(points, x[None, None, :]))) / math.factorial(d)
+    return _volumes(points, x[None, None, :])
 
 
 def expectation_estimate(body: ConvexBody, fn, arity: int, n: int, seed) -> MomentEstimate:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import geomprob as gp
-from geomprob.estimators import _det
+from geomprob.estimators import VOLUME_CHUNK, _det, _edges
 
 N_FAST = 200000
 SIGMA = 4.0
@@ -92,6 +92,18 @@ def test_det_beyond_four_is_lapack():
     pts = rng.standard_normal((300, 6, 5))
     want = np.abs(np.linalg.det(pts[:, 1:] - pts[:, :1])) / math.factorial(5)
     assert np.array_equal(gp.batch_simplex_volumes(pts), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_volume_kernels_chunked_bits_match_one_pass(d):
+    rng = np.random.default_rng(300 + d)
+    n = 2 * VOLUME_CHUNK + 3
+    pts = rng.standard_normal((n, d + 1, d))
+    x = rng.standard_normal(d)
+    whole = np.abs(_det(_edges(pts[:, 1:], pts[:, :1]))) / math.factorial(d)
+    assert np.array_equal(gp.batch_simplex_volumes(pts), whole)
+    pinned = np.abs(_det(_edges(pts[:, 1:], x[None, None, :]))) / math.factorial(d)
+    assert np.array_equal(gp.batch_pinned_volumes(x, pts[:, 1:]), pinned)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
