@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import geomprob as gp
+from geomprob.bodies import DIM_CAP, _ball_axis_cdf, _ball_axis_ppf
 
 MEMBERSHIP_N = 4000
 VOL_REL_TOL = 1e-12
@@ -358,3 +361,194 @@ def test_cap_bounding_box_shrinks_transverse_axes():
     width = math.sqrt(1.0 - 0.6**2)
     assert np.allclose(box.lo, [0.6, -width, -width, -width])
     assert np.allclose(box.hi, [1.0, width, width, width])
+
+
+# ---------------------------------------------------------------------------
+# ball-axis quantiles (the slab sampler's inverse CDF)
+
+# (d, q, s) with _ball_axis_cdf(d, s) = q, from a 40-digit mpmath reference;
+# see test_ball_axis_ppf_matches_reference for the snippet that made them.
+AXIS_QUANTILES = [
+    (1, 1e-16, -0.9999999999999998),
+    (1, 1e-08, -0.99999998),
+    (1, 0.001, -0.998),
+    (1, 0.05, -0.9),
+    (1, 0.0999, -0.8002),
+    (1, 0.1, -0.8),
+    (1, 0.2, -0.6),
+    (1, 0.25, -0.5),
+    (1, 0.4, -0.19999999999999996),
+    (1, 0.499999999, -2.0000000544584395e-09),
+    (1, 0.5, 0.0),
+    (1, 0.5000000010000001, 2.000000165480742e-09),
+    (1, 0.6, 0.19999999999999996),
+    (1, 0.75, 0.5),
+    (1, 0.8, 0.6000000000000001),
+    (1, 0.9, 0.8),
+    (1, 0.9001, 0.8002),
+    (1, 0.95, 0.8999999999999999),
+    (1, 0.999, 0.998),
+    (1, 0.99999999, 0.9999999799999999),
+    (1, 0.9999999999999999, 0.9999999999999998),
+    (2, 1e-16, -0.9999999999697218),
+    (2, 1e-08, -0.9999934767447048),
+    (2, 0.001, -0.9859262426526358),
+    (2, 0.05, -0.8053836365201198),
+    (2, 0.0999, -0.687265037673248),
+    (2, 0.1, -0.6870488261325406),
+    (2, 0.2, -0.4918618327637099),
+    (2, 0.25, -0.4039727532995172),
+    (2, 0.4, -0.15773619380001577),
+    (2, 0.499999999, -1.570796369566455e-09),
+    (2, 0.5, 0.0),
+    (2, 0.5000000010000001, 1.5707964567631676e-09),
+    (2, 0.6, 0.15773619380001577),
+    (2, 0.75, 0.4039727532995172),
+    (2, 0.8, 0.49186183276371),
+    (2, 0.9, 0.6870488261325406),
+    (2, 0.9001, 0.687265037673248),
+    (2, 0.95, 0.8053836365201197),
+    (2, 0.999, 0.9859262426526358),
+    (2, 0.99999999, 0.999993476744683),
+    (2, 0.9999999999999999, 0.9999999999675359),
+    (3, 1e-16, -0.9999999884529946),
+    (3, 1e-08, -0.999884527723833),
+    (3, 0.001, -0.9632594922823767),
+    (3, 0.05, -0.7292992756568324),
+    (3, 0.0999, -0.6086115227073415),
+    (3, 0.1, -0.6083997886818165),
+    (3, 0.2, -0.4257185491665191),
+    (3, 0.25, -0.3472963553338607),
+    (3, 0.4, -0.13413784570453643),
+    (3, 0.499999999, -1.3333333696389598e-09),
+    (3, 0.5, 0.0),
+    (3, 0.5000000010000001, 1.333333443653828e-09),
+    (3, 0.6, 0.13413784570453643),
+    (3, 0.75, 0.3472963553338607),
+    (3, 0.8, 0.42571854916651913),
+    (3, 0.9, 0.6083997886818167),
+    (3, 0.9001, 0.6086115227073415),
+    (3, 0.95, 0.7292992756568323),
+    (3, 0.999, 0.9632594922823767),
+    (3, 0.99999999, 0.9998845277235429),
+    (3, 0.9999999999999999, 0.9999999878332528),
+    (4, 1e-16, -0.9999995953956945),
+    (4, 1e-08, -0.9993586573024938),
+    (4, 0.001, -0.9349644225320604),
+    (4, 0.05, -0.6694394666886839),
+    (4, 0.0999, -0.5510654966854867),
+    (4, 0.1, -0.5508627951792869),
+    (4, 0.2, -0.380328894916035),
+    (4, 0.25, -0.3090725125885851),
+    (4, 0.4, -0.11864297699089424),
+    (4, 0.499999999, -1.1780972771748413e-09),
+    (4, 0.5, 0.0),
+    (4, 0.5000000010000001, 1.1780973425723756e-09),
+    (4, 0.6, 0.11864297699089424),
+    (4, 0.75, 0.3090725125885851),
+    (4, 0.8, 0.3803288949160351),
+    (4, 0.9, 0.5508627951792869),
+    (4, 0.9001, 0.5510654966854867),
+    (4, 0.95, 0.6694394666886838),
+    (4, 0.999, 0.9349644225320604),
+    (4, 0.99999999, 0.9993586573012047),
+    (4, 0.9999999999999999, 0.9999995781145056),
+    (5, 1e-16, -0.9999956911259783),
+    (5, 1e-08, -0.997998998898481),
+    (5, 0.001, -0.9048962036490846),
+    (5, 0.05, -0.6214892451244584),
+    (5, 0.0999, -0.5069202455112677),
+    (5, 0.1, -0.5067270934230668),
+    (5, 0.2, -0.3468041243171779),
+    (5, 0.25, -0.2811276704207058),
+    (5, 0.4, -0.10749180502705376),
+    (5, 0.499999999, -1.0666666957111678e-09),
+    (5, 0.5, 0.0),
+    (5, 0.5000000010000001, 1.0666667549230624e-09),
+    (5, 0.6, 0.10749180502705376),
+    (5, 0.75, 0.2811276704207058),
+    (5, 0.8, 0.346804124317178),
+    (5, 0.9, 0.5067270934230669),
+    (5, 0.9001, 0.5069202455112678),
+    (5, 0.95, 0.6214892451244582),
+    (5, 0.999, 0.9048962036490846),
+    (5, 0.99999999, 0.9979989988951278),
+    (5, 0.9999999999999999, 0.9999955382980351),
+    (6, 1e-16, -0.9999767343560223),
+    (6, 1e-08, -0.9955025166996145),
+    (6, 0.001, -0.8751448066752818),
+    (6, 0.05, -0.5822055965611602),
+    (6, 0.0999, -0.4717728312285565),
+    (6, 0.1, -0.4715886587309881),
+    (6, 0.2, -0.3207710877286558),
+    (6, 0.25, -0.259573251756435),
+    (6, 0.4, -0.09897928719049677),
+    (6, 0.499999999, -9.817477309790343e-10),
+    (6, 0.5, 0.0),
+    (6, 0.5000000010000001, 9.817477854769796e-10),
+    (6, 0.6, 0.09897928719049677),
+    (6, 0.75, 0.259573251756435),
+    (6, 0.8, 0.3207710877286559),
+    (6, 0.9, 0.47158865873098815),
+    (6, 0.9001, 0.4717728312285565),
+    (6, 0.95, 0.5822055965611601),
+    (6, 0.999, 0.8751448066752818),
+    (6, 0.99999999, 0.9955025166931497),
+    (6, 0.9999999999999999, 0.9999760288143994),
+]
+
+
+def test_ball_axis_ppf_matches_reference():
+    """_ball_axis_ppf within 1e-15 of a 40-digit reference, d = 1..6.
+
+    The triples come from this snippet (mpmath, 40 digits, bisection)::
+
+        import mpmath as mp
+
+        mp.mp.dps = 40
+
+        def ref(d, q):  # bisection on w = 1 - |s| over the lower half
+            qq = min(mp.mpf(q), 1 - mp.mpf(q))
+            if qq == 0.5:
+                return mp.mpf(0)
+            lo, hi = mp.mpf(0), mp.mpf(1)
+            for _ in range(150):
+                w = (lo + hi) / 2
+                cdf = mp.betainc((d + 1) / mp.mpf(2), 0.5, 0, w * (2 - w), regularized=True) / 2
+                lo, hi = (w, hi) if cdf < qq else (lo, w)
+            s = (lo + hi) / 2 - 1
+            return s if q <= 0.5 else -s
+
+        LOWER = [1e-16, 1e-8, 1e-3, 0.05, 0.0999, 0.1, 0.2, 0.25, 0.4, 0.5 - 1e-9]
+        for d in range(1, 7):
+            for q in LOWER + [0.5] + [1.0 - q for q in reversed(LOWER)]:
+                print(f"    ({d}, {q!r}, {float(ref(d, q))!r}),")
+    """
+    for d, q, s in AXIS_QUANTILES:
+        assert abs(float(_ball_axis_ppf(d, np.array([q]))[0]) - s) <= 1e-15, (d, q)
+
+
+@pytest.mark.parametrize("d", range(1, DIM_CAP + 1))
+def test_ball_axis_ppf_stays_in_the_ball(d):
+    tiny = np.array([0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 2**-53])
+    q = np.concatenate([tiny, np.linspace(0.0, 1.0, 100001), 1.0 - tiny, 0.5 + np.arange(-50, 51) * 2**-54])
+    s = _ball_axis_ppf(d, q)
+    assert np.all(np.abs(s) <= 1.0)
+    assert np.all(np.where(q <= 0.5, s <= 0.0, s >= 0.0))
+    ends = _ball_axis_ppf(d, np.array([0.0, 0.5, 1.0]))
+    assert np.all(np.abs(ends - [-1.0, 0.0, 1.0]) <= 1e-15)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    d=st.integers(1, DIM_CAP),
+    q=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+)
+def test_ball_axis_ppf_is_monotone_and_inverts_the_cdf(d, q):
+    q = np.sort(np.array(q))
+    s = _ball_axis_ppf(d, q)
+    # each value is rounded on its own, so neighbouring quantiles one ulp
+    # apart may step back by an ulp, within the 1e-15 accuracy
+    assert np.all(np.diff(s) >= -1e-15)
+    for qi, si in zip(q, s):
+        assert abs(_ball_axis_cdf(d, float(si)) - qi) <= 1e-13
