@@ -279,7 +279,7 @@ GOLDEN = {
     "sample/reflect_affine": "d91eb89de1c8e00277d57a6503b1a89c0c86034b5732438fbee3e841969924fb",
     "sample/slab": "3d24780912c3cd45aaaab425ae643c66bc80ad64bca38b466bf6493e3cd3584b",
     "sample/slab_two_sided": "e4adfb999d8a6e52f24e3b3a869bb07e78bfba108963a9059d22dbb0b92cc43b",
-    "sample/slab_d4": "fdd253edd0b091ccab78a6d3e14bdc3f0903de9ade27b3dff612fa5c9572f19d",
+    "sample/slab_d4": "0871a2a31e6c1d0a7089ae8b85f8d38941633df04056103bfe666eb7518845d2",
     "sample/slab_d5": "652e82050bf6cc2543e868249fcc9b1d9fc5cabf167bdef93e516ce2ce519b98",
     "sample/slice": "6860e7fbf979895fcbb5f2398adbf35dfc5e87841b3170cc88a6bd49c032dedf",
     "sample/slice_d4": "5cd831eb552793651aeb9a30a0b6465d4cbd0c3c5badd20520ac248d7770221b",
