@@ -115,13 +115,32 @@ class BoundingBox:
         return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
 
     def uniform(self, stream, m: int) -> np.ndarray:
-        """m points uniform in the box, from one (m, dim) draw of ``stream.uniform``."""
-        return self.lo + stream.uniform((m, self.dim)) * (self.hi - self.lo)
+        """m points uniform in the box, from one (m, dim) draw of ``stream.uniform``.
+
+        Scaled and shifted in place: u * (hi - lo) + lo is the same IEEE
+        result as lo + u * (hi - lo).
+        """
+        u = stream.uniform((m, self.dim))
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
 
 def _inside(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Membership in {x : <n_i, x> >= t_i for all i}, unit normals as rows."""
-    return np.all(pts @ normals.T >= offsets - MEMBERSHIP_ATOL, axis=-1)
+    """Membership in {x : <n_i, x> >= t_i for all i}, unit normals as rows.
+
+    The projections are laid out (k, m), one row per halfspace, so the
+    reduction over the k halfspaces runs down long contiguous rows instead
+    of across a short last axis. OpenBLAS forms each projection by the same
+    length-d dot product in either layout, so the mask is the one
+    ``np.all(pts @ normals.T >= offsets - MEMBERSHIP_ATOL, axis=-1)`` gives,
+    bit for bit; the tests pin this at one and at two BLAS threads.
+    """
+    flat = pts.reshape(-1, normals.shape[1])
+    proj = normals @ flat.T
+    ok = np.logical_and.reduce(proj >= (offsets - MEMBERSHIP_ATOL)[:, None], axis=0)
+    # a single point gives a numpy bool, as np.all over its last axis did
+    return ok.reshape(pts.shape[:-1])[()]
 
 
 def _rows(normals: np.ndarray, offsets: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
@@ -446,12 +465,14 @@ class Polygon2D(ConvexBody):
     Canonicalization deduplicates vertices within VERTEX_TOL, sorts CCW
     around the vertex centroid, and drops collinear middles so profile
     reconstructions round-trip. The edge frame (inward unit normals and
-    their offsets, edge i from vertex i to vertex i + 1) is built once here.
+    their offsets, edge i from vertex i to vertex i + 1) and the bounding
+    box are built once here.
     """
 
     vertices: np.ndarray
     normals: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    bound: BoundingBox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -467,6 +488,7 @@ class Polygon2D(ConvexBody):
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "normals", n)
         object.__setattr__(self, "offsets", np.sum(n * v, axis=1))
+        object.__setattr__(self, "bound", BoundingBox(v.min(axis=0), v.max(axis=0)))
 
     @property
     def dim(self) -> int:
@@ -479,7 +501,7 @@ class Polygon2D(ConvexBody):
         return _inside(pts, self.normals, self.offsets)
 
     def box(self) -> BoundingBox:
-        return BoundingBox(self.vertices.min(axis=0), self.vertices.max(axis=0))
+        return self.bound
 
     def volume(self) -> float:
         return self.area()

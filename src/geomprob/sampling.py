@@ -6,8 +6,11 @@ experiment can split work into independent substreams without bookkeeping.
 The (seed, index) pair is mixed through the splitmix64 finalizer and keys a
 Philox counter generator.
 
-Gaussians come from the inverse normal CDF applied to fixed-width uniforms
-(53-bit mantissa, half-open midpoint placement), not from rejection, so the
+A uniform is the top 53 bits of one raw 64-bit Philox word, plus 1/2, times
+2^-53, so it lies strictly inside (0, 1). These are the integers that
+``Generator.integers(0, 2**53)`` draws from the same bit generator, so the
+stream is the one that form gave, bit for bit. Gaussians come from the
+inverse normal CDF applied to these uniforms, not from rejection, so the
 stream consumption per variate is constant and results cannot shift when
 the underlying generator version changes its ziggurat tables.
 """
@@ -66,16 +69,21 @@ class SampleStream:
     def __init__(self, seed: int, index: int = 0):
         self.seed = int(seed) & MASK64
         self.index = int(index)
-        self._gen = np.random.Generator(np.random.Philox(key=stream_key(self.seed, self.index)))
+        self._bits = np.random.Philox(key=stream_key(self.seed, self.index))
 
     def substream(self, index: int) -> "SampleStream":
         """Independent child stream; children of distinct indices never collide."""
         return SampleStream(stream_key(self.seed, self.index) ^ GOLDEN_GAMMA, index)
 
     def uniform(self, size) -> np.ndarray:
-        """Uniforms in (0, 1), each from exactly one 64-bit draw."""
-        raw = self._gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
-        return (raw.astype(np.float64) + 0.5) * (1.0 / (1 << 53))
+        """Uniforms in (0, 1): the top 53 bits of one raw Philox word, plus 1/2, times 2^-53."""
+        raw = np.asarray(self._bits.random_raw(size), dtype=np.uint64)
+        raw >>= 11
+        u = raw.astype(np.float64)
+        u += 0.5
+        u *= 1.0 / (1 << 53)
+        # size None or () gives a numpy float, not a 0-d array
+        return u[()]
 
     def normal(self, size) -> np.ndarray:
         return ndtri(self.uniform(size))
@@ -169,6 +177,8 @@ def _reject(n: int, d: int, propose, accept, source: str, round_size) -> np.ndar
             continue
         misses = 0
         take = min(k, n - got)
+        if take == n:
+            return pts[ok][:n]
         out[got : got + take] = pts[ok][:take]
         got += take
     return out

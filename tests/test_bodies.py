@@ -1,5 +1,6 @@
 """Membership, volume, and construction invariants for the body types."""
 
+import copy
 import json
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import geomprob as gp
-from geomprob.bodies import DIM_CAP, _ball_axis_cdf, _ball_axis_ppf
+from geomprob.bodies import DIM_CAP, MEMBERSHIP_ATOL, _ball_axis_cdf, _ball_axis_ppf, _inside
 
 MEMBERSHIP_N = 4000
 VOL_REL_TOL = 1e-12
@@ -147,6 +148,55 @@ def test_intersect_halfspace_tightens_axis_cut():
     assert math.isclose(box.volume(), 0.25, rel_tol=VOL_REL_TOL)
 
 
+def _inside_reference(pts, normals, offsets):
+    """The membership formula before the (k, m) layout, kept as the bit reference."""
+    return np.all(pts @ normals.T >= offsets - MEMBERSHIP_ATOL, axis=-1)
+
+
+def _boundary_points(body, seed):
+    """Points of the body moved onto <n_i, x> = t_i - MEMBERSHIP_ATOL for each row i,
+    and one and two ulps to either side, so that the last bit of each projection decides."""
+    normals, offsets = body.normals, body.offsets
+    base = gp.sample_body(gp.SampleStream(seed), body, 64)
+    pts = []
+    for n, t in zip(normals, offsets):
+        on = base + (t - MEMBERSHIP_ATOL - base @ n)[:, None] * n
+        for step in (-2, -1, 0, 1, 2):
+            pts.append(on + step * np.spacing(np.abs(on)) * n)
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gp.simplex_with_hull_point()[0],
+        lambda: gp.unit_cube(3),
+        lambda: gp.isotropic_simplex(4),
+        lambda: gp.Polygon2D(np.column_stack([np.cos(np.arange(12) * np.pi / 6), np.sin(np.arange(12) * np.pi / 6)])),
+    ],
+)
+def test_inside_matches_the_reference_formula_bit_for_bit(make):
+    body = make()
+    normals, offsets = body.normals, body.offsets
+    d = body.dim
+    box = gp.bounding_box(body)
+    around = box.lo + (box.hi - box.lo) * (np.random.default_rng(7).random((MEMBERSHIP_N, d)) * 1.2 - 0.1)
+    # the cube's rows are axis aligned, so its boundary points sit exactly at t_i - ATOL
+    for pts in (around, _boundary_points(body, 8)):
+        expected = _inside_reference(pts, normals, offsets)
+        assert np.array_equal(_inside(pts, normals, offsets), expected)
+        assert 0 < expected.sum() < len(pts)
+        cube = pts[: 6 * 5 * (len(pts) // 30)].reshape(6, 5, -1, d)
+        got = _inside(cube, normals, offsets)
+        assert got.shape == cube.shape[:-1]
+        assert np.array_equal(got, _inside_reference(cube, normals, offsets))
+        for p in pts[:40]:
+            one = _inside(p, normals, offsets)
+            assert isinstance(one, np.bool_) and one == _inside_reference(p, normals, offsets)
+    empty = _inside(np.empty((0, d)), normals, offsets)
+    assert empty.shape == (0,) and empty.dtype == bool
+
+
 # ---------------------------------------------------------------------------
 # polygons
 
@@ -160,6 +210,14 @@ def test_polygon_canonicalization_is_input_order_invariant():
         assert a.vertices.shape == other.vertices.shape
         roll = np.argmin([np.linalg.norm(v - a.vertices[0]) for v in other.vertices])
         assert np.allclose(np.roll(other.vertices, -roll, axis=0), a.vertices, atol=1e-12)
+
+
+def test_polygon_box_is_the_vertex_extremes_after_copy_and_json():
+    poly = gp.half_disk_polygon(16)
+    for body in (poly, copy.deepcopy(poly), gp.body_from_json(gp.body_to_json(poly))):
+        box = body.box()
+        assert np.array_equal(box.lo, body.vertices.min(axis=0))
+        assert np.array_equal(box.hi, body.vertices.max(axis=0))
 
 
 def test_polygon_rejects_degenerate_input():

@@ -28,6 +28,10 @@ dimensions, here ``sample/slab_d5``.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,28 @@ def test_golden_digest(case):
 
 def test_every_case_is_pinned():
     assert set(GOLDEN) == set(CASES)
+
+
+# halfspace membership runs as a (k, d) x (d, m) BLAS product
+BLAS_CASES = sorted(case for case in CASES if case.startswith(("sample/box_reject", "membership/")))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rejection_digests_do_not_depend_on_blas_threads(threads):
+    """The polygon and polytope rejection digests, recomputed in a fresh process
+    whose OpenBLAS splits its products over the given number of threads."""
+    assert len(BLAS_CASES) == 5
+    src = Path(gp.__file__).resolve().parents[1]
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(src), str(here), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    script = (
+        "import json, test_golden_digests as g; "
+        f"print(json.dumps({{c: g._digest(*g.CASES[c]()) for c in {BLAS_CASES!r}}}))"
+    )
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {case: GOLDEN[case] for case in BLAS_CASES}
 
 
 if __name__ == "__main__":

@@ -35,6 +35,20 @@ def test_stream_replay_is_bitwise():
     assert np.array_equal(a, b)
 
 
+def test_uniform_is_the_generator_integer_stream():
+    # one raw Philox word per uniform: the same integers, and the same stream
+    # position after each draw, as Generator.integers(0, 2**53)
+    stream = gp.SampleStream(42, 7)
+    gen = np.random.Generator(np.random.Philox(key=gp.stream_key(42, 7)))
+    for size in (7, (5, 3), 0, (), None, 4):
+        raw = gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
+        expected = (raw.astype(np.float64) + 0.5) * 2.0**-53
+        got = stream.uniform(size)
+        # size None or () gives a numpy float, as the Generator form did
+        assert type(got) is type(expected)
+        assert np.array_equal(got, expected)
+
+
 def test_substreams_do_not_depend_on_draw_order():
     parent = gp.SampleStream(3, 0)
     child_first = parent.substream(5).uniform(100)
