@@ -172,7 +172,7 @@ def _boundary_points(body, seed):
         lambda: gp.simplex_with_hull_point()[0],
         lambda: gp.unit_cube(3),
         lambda: gp.isotropic_simplex(4),
-        lambda: gp.Polygon2D(np.column_stack([np.cos(np.arange(12) * np.pi / 6), np.sin(np.arange(12) * np.pi / 6)])),
+        lambda: gp.half_disk_polygon(12),
     ],
 )
 def test_inside_matches_the_reference_formula_bit_for_bit(make):
@@ -186,10 +186,10 @@ def test_inside_matches_the_reference_formula_bit_for_bit(make):
         expected = _inside_reference(pts, normals, offsets)
         assert np.array_equal(_inside(pts, normals, offsets), expected)
         assert 0 < expected.sum() < len(pts)
-        cube = pts[: 6 * 5 * (len(pts) // 30)].reshape(6, 5, -1, d)
-        got = _inside(cube, normals, offsets)
-        assert got.shape == cube.shape[:-1]
-        assert np.array_equal(got, _inside_reference(cube, normals, offsets))
+        grid = pts[: 30 * (len(pts) // 30)].reshape(6, 5, -1, d)
+        got = _inside(grid, normals, offsets)
+        assert got.shape == grid.shape[:-1]
+        assert np.array_equal(got, _inside_reference(grid, normals, offsets))
         for p in pts[:40]:
             one = _inside(p, normals, offsets)
             assert isinstance(one, np.bool_) and one == _inside_reference(p, normals, offsets)
