@@ -16,11 +16,9 @@ from .bodies import (
     Polygon2D,
     affine_image,
     body_from_json,
-    body_to_json,
     bounding_box,
     box_body,
     contains,
-    exact_volume,
     half_ball,
     half_ball_moments,
     half_disk_polygon,
@@ -40,6 +38,7 @@ from .derivatives import (
     crofton_derivative_rhs,
     cut_family,
     det_cov_increase,
+    detcov_counterexample,
     detcov_derivative_rhs,
     finite_difference,
     h_refinement_report,
@@ -102,6 +101,7 @@ from .symmetry2d import (
     bottom_pinned_polygon,
     chord_profile,
     clip_polygon,
+    monotonicity_2d,
     nested_polygon_pair,
     plane_bound_pipeline,
     random_convex_polygon,

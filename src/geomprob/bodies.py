@@ -41,7 +41,10 @@ def _as_vector(x, d: int | None = None) -> np.ndarray:
 
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if not (norm > 0.0 and math.isfinite(norm)):
+        raise ValueError("direction must be nonzero and finite")
+    return v / norm
 
 
 def _check_dim(d: int) -> int:
@@ -442,9 +445,9 @@ class HalfBallCone(ConvexBody):
         at x_1 = 0 and the tip disk at x_1 = -eps + delta, of radius
         delta/eps; the unit disk lies in the half-ball.
         """
+        u = _unit(v)
         if cuts:
             raise InvalidBodyError("a cut of a HalfBallCone has no closed-form support")
-        u = _unit(v)
 
         def top(w: np.ndarray) -> float:
             rest = float(np.linalg.norm(w[1:]))
@@ -665,11 +668,6 @@ def _canonicalize_polygon(v: np.ndarray) -> np.ndarray:
 def contains(body: ConvexBody, point) -> bool:
     p = _as_vector(point, d=body.dim)
     return bool(body.contains_batch(p[None, :])[0])
-
-
-def exact_volume(body: ConvexBody) -> float | None:
-    """Closed-form volume where one exists, else None."""
-    return body.volume()
 
 
 def bounding_box(body: ConvexBody) -> BoundingBox:
@@ -965,10 +963,6 @@ def half_disk_polygon(n_vertices: int = 64) -> Polygon2D:
 
 # ---------------------------------------------------------------------------
 # JSON serialization
-
-
-def body_to_json(body: ConvexBody) -> dict:
-    return body.to_json()
 
 
 def _check_bound(poly: HPolytope) -> None:

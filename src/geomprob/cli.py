@@ -1,9 +1,10 @@
-"""Command-line experiment drivers.
+"""Command-line front end: parse the arguments, call the library, print.
 
-Each subcommand prints JSON-lines reports to stdout (floats at 12
-significant digits); the two table subcommands also write CSV with --out.
-Exit code 0 means the run completed with a pass or report-only verdict, 1
-means a fail verdict, 2 means a usage or input error.
+The experiments live in the library modules. Each subcommand prints
+JSON-lines reports to stdout (floats at 12 significant digits); the two
+table subcommands also write CSV with --out. Exit code 0 means the run
+completed with a pass or report-only verdict, 1 means a fail verdict, 2
+means a usage or input error.
 """
 
 from __future__ import annotations
@@ -19,50 +20,24 @@ import time
 import numpy as np
 
 from . import exact
-from .bodies import (
-    Halfspace,
-    Polygon2D,
-    body_from_json,
-    body_to_json,
-    box_body,
-    regular_simplex,
-    regular_simplex_vertices,
-    simplex_with_hull_point,
-)
+from .bodies import Polygon2D, body_from_json
+# the benchmark wraps and calls the two experiments as cli.detcov_counterexample
+# and cli.monotonicity_2d, so both names stay bound here
 from .derivatives import (
-    CutFamily,
     counterexample_derivative_test,
     crofton_derivative_rhs,
     cut_family,
-    det_cov_increase,
-    detcov_derivative_rhs,
+    detcov_counterexample,
     finite_difference,
     sf_coordinate_sum,
     sf_one,
     sf_simplex_volume,
 )
 from .errors import GeomProbError
-from .estimators import (
-    det_cov_estimate,
-    expectation_estimate,
-    isotropic_transform,
-    moment_estimate,
-    pinned_moment_estimate,
-)
+from .estimators import expectation_estimate, moment_estimate, pinned_moment_estimate
 from .report import ExperimentReport, round_floats
 from .sampling import MASK64, SampleStream
-from .symmetry2d import (
-    blaschke_shake,
-    nested_polygon_pair,
-    plane_bound_pipeline,
-    steiner_symmetrize,
-)
-
-Z_ONE_SIDED = 3.0
-SIGMA_WINDOW = 4.0
-# cut offsets past the new hull vertex: for the derivative formula and for the det increase
-RHS_DEPTH = 0.10
-FD_DEPTH = 0.15
+from .symmetry2d import blaschke_shake, monotonicity_2d, plane_bound_pipeline, steiner_symmetrize
 
 
 def _emit(obj) -> None:
@@ -209,7 +184,7 @@ def run_symmetrize(args) -> int:
         out = steiner_symmetrize(body, args.angle)
     else:
         out = blaschke_shake(body, args.line)
-    _emit(body_to_json(out))
+    _emit(out.to_json())
     return 0
 
 
@@ -224,148 +199,8 @@ def run_counterexample(args) -> int:
     return _report_exit(counterexample_derivative_test(args.d, args.eps, args.n, args.seed))
 
 
-def detcov_counterexample(
-    n: int = 2 * 10**6, seed: int = 0, variant: str = "simplex", alpha: float = 1.2
-) -> ExperimentReport:
-    """The determinant-monotonicity experiment in three flavors.
-
-    simplex (d=3): isotropize a regular simplex, confirm its facet centers
-    sit at norm sqrt(5/3) < sqrt(3), then make one facet center an extreme
-    point of the hull, cut a small cap around it, and verify both the
-    analytic derivative of det A and a shared-sample finite difference show
-    det A increasing: an explicit nested pair with reversed determinants.
-
-    ball (d=3): the isotropic ball has boundary norm sqrt(5) > sqrt(3), so
-    this mechanism cannot fire; reported inconclusive by design.
-
-    square (d=2): every edge family of the isotropic square has a
-    non-positive derivative, the monotone case.
-    """
-    t0 = time.perf_counter()
-    stream = SampleStream(seed, 0)
-    if variant == "ball":
-        radius = math.sqrt(5.0)
-        return ExperimentReport(
-            name="detcov-counterexample",
-            verdict="inconclusive",
-            seed=seed,
-            n=0,
-            params={"variant": "ball", "d": 3},
-            metrics={"boundary_norm": radius, "threshold": math.sqrt(3.0)},
-            wall_time_s=time.perf_counter() - t0,
-        )
-    if variant == "square":
-        side = math.sqrt(3.0)
-        square = box_body([-side, -side], [side, side])
-        edge_rhs = []
-        all_nonpositive = True
-        for j, sign in ((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0)):
-            v = np.zeros(2)
-            v[j] = sign
-            fam = CutFamily(square, v, -side, side)
-            est = detcov_derivative_rhs(fam, -side, n, stream.substream(2 * j + (sign < 0)))
-            edge_rhs.append(est.mean)
-            if est.mean > Z_ONE_SIDED * est.stderr:
-                all_nonpositive = False
-        return ExperimentReport(
-            name="detcov-counterexample",
-            verdict="pass" if all_nonpositive else "fail",
-            seed=seed,
-            n=n,
-            params={"variant": "square", "d": 2},
-            metrics={"edge_rhs_max": max(edge_rhs), "edge_rhs_min": min(edge_rhs)},
-            wall_time_s=time.perf_counter() - t0,
-        )
-    if variant != "simplex":
-        raise ValueError(f"unknown variant {variant!r}")
-
-    # isotropized regular simplex: facet centers at the extremal inradius
-    base = regular_simplex(3, 1.0)
-    iso_base = isotropic_transform(base, min(n, 10**6), stream.substream(0))
-    centers = -regular_simplex_vertices(3, 1.0) / 3.0
-    image_centers = centers @ iso_base.matrix.T + iso_base.shift
-    facet_norm = float(np.linalg.norm(image_centers, axis=1).min())
-    facet_ok = abs(facet_norm - math.sqrt(5.0 / 3.0)) <= 0.01
-
-    # hull-point body, isotropized, with the support direction at the new vertex
-    body, xa = simplex_with_hull_point(alpha)
-    iso = isotropic_transform(body, max(min(n, 2 * 10**6), 10**6), stream.substream(1))
-    x_iso = iso.matrix @ xa + iso.shift
-    new_normals = body.normals[-3:] @ iso.inverse
-    new_normals /= np.linalg.norm(new_normals, axis=1, keepdims=True)
-    v = new_normals.sum(axis=0)
-    v /= np.linalg.norm(v)
-    a = float(v @ x_iso)
-    proj = (regular_simplex_vertices(3, math.sqrt(15.0)) @ iso.matrix.T + iso.shift) @ v
-    fam = CutFamily(iso, v, a, float(proj.max()))
-
-    rhs = detcov_derivative_rhs(fam, a + RHS_DEPTH, n, stream.substream(2))
-    rhs_z = rhs.mean / rhs.stderr if rhs.stderr > 0 else 0.0
-    inc = det_cov_increase(iso, Halfspace(v, a + FD_DEPTH), n, stream.substream(3))
-    inc_z = inc.mean / inc.stderr if inc.stderr > 0 else 0.0
-    verdict = "pass" if (facet_ok and rhs_z >= Z_ONE_SIDED and inc_z >= Z_ONE_SIDED) else "fail"
-    return ExperimentReport(
-        name="detcov-counterexample",
-        verdict=verdict,
-        seed=seed,
-        n=n,
-        params={"variant": "simplex", "d": 3, "alpha": alpha, "rhs_depth": RHS_DEPTH, "fd_depth": FD_DEPTH},
-        metrics={
-            "facet_center_norm": facet_norm,
-            "hull_point_norm": float(np.linalg.norm(x_iso)),
-            "rhs": rhs.mean,
-            "rhs_stderr": rhs.stderr,
-            "rhs_z": rhs_z,
-            "det_increase": inc.mean,
-            "det_increase_stderr": inc.stderr,
-            "det_increase_z": inc_z,
-        },
-        wall_time_s=time.perf_counter() - t0,
-    )
-
-
 def run_detcov_counterexample(args) -> int:
     return _report_exit(detcov_counterexample(args.n, args.seed, args.variant, args.alpha))
-
-
-def monotonicity_2d(pairs: int, n: int, seed: int = 0) -> ExperimentReport:
-    """Nested random polygon pairs K in L: both det A and E V stay monotone."""
-    t0 = time.perf_counter()
-    stream = SampleStream(seed, 0)
-    det_violations = 0
-    moment_violations = 0
-    worst_det_z = -math.inf
-    worst_moment_z = -math.inf
-    for i in range(pairs):
-        inner, outer = nested_polygon_pair(stream.substream(2 * i))
-        est_stream = stream.substream(2 * i + 1)
-        det_k = det_cov_estimate(inner, n, est_stream.substream(0))
-        det_l = det_cov_estimate(outer, n, est_stream.substream(1))
-        mom_k = moment_estimate(inner, 1, n, est_stream.substream(2))
-        mom_l = moment_estimate(outer, 1, n, est_stream.substream(3))
-        det_z = (det_k.mean - det_l.mean) / math.hypot(det_k.stderr, det_l.stderr)
-        mom_z = (mom_k.mean - mom_l.mean) / math.hypot(mom_k.stderr, mom_l.stderr)
-        worst_det_z = max(worst_det_z, det_z)
-        worst_moment_z = max(worst_moment_z, mom_z)
-        if det_z > SIGMA_WINDOW:
-            det_violations += 1
-        if mom_z > SIGMA_WINDOW:
-            moment_violations += 1
-    verdict = "pass" if det_violations == 0 and moment_violations == 0 else "fail"
-    return ExperimentReport(
-        name="monotonicity-2d",
-        verdict=verdict,
-        seed=seed,
-        n=n,
-        params={"pairs": pairs},
-        metrics={
-            "det_violations": det_violations,
-            "moment_violations": moment_violations,
-            "worst_det_z": worst_det_z,
-            "worst_moment_z": worst_moment_z,
-        },
-        wall_time_s=time.perf_counter() - t0,
-    )
 
 
 def run_monotonicity_2d(args) -> int:

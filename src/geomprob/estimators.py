@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, affine_image, bounding_box, exact_volume
+from .bodies import ConvexBody, affine_image, bounding_box
 from .errors import DegenerateBodyError, SingularTransformError
 from .report import MomentEstimate, hit_or_miss, mean_stderr
 from .sampling import SampleStream, sample_body
@@ -265,7 +265,7 @@ def volume_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate:
 
 def volume_with_stderr(body: ConvexBody, n: int, seed) -> tuple[float, float]:
     """Exact volume when available (stderr 0), else rejection estimate."""
-    vol = exact_volume(body)
+    vol = body.volume()
     if vol is not None:
         return vol, 0.0
     est = volume_estimate(body, n, seed)

@@ -25,21 +25,10 @@ class ExactValue:
     sign: int
     log_mag: float
 
-    @staticmethod
-    def from_float(x: float) -> "ExactValue":
-        if x == 0.0:
-            return ExactValue(0, float("-inf"))
-        return ExactValue(1 if x > 0 else -1, math.log(abs(x)))
-
     def to_float(self) -> float:
         if self.sign == 0:
             return 0.0
         return self.sign * math.exp(self.log_mag)
-
-    def __mul__(self, other: "ExactValue") -> "ExactValue":
-        if self.sign == 0 or other.sign == 0:
-            return ExactValue(0, float("-inf"))
-        return ExactValue(self.sign * other.sign, self.log_mag + other.log_mag)
 
     def __truediv__(self, other: "ExactValue") -> "ExactValue":
         if other.sign == 0:
@@ -47,30 +36,6 @@ class ExactValue:
         if self.sign == 0:
             return ExactValue(0, float("-inf"))
         return ExactValue(self.sign * other.sign, self.log_mag - other.log_mag)
-
-    def __pow__(self, k: int) -> "ExactValue":
-        if self.sign == 0:
-            return ExactValue(0, float("-inf")) if k > 0 else ExactValue(1, 0.0)
-        sign = -1 if (self.sign < 0 and k % 2 == 1) else 1
-        return ExactValue(sign, self.log_mag * k)
-
-    def __add__(self, other: "ExactValue") -> "ExactValue":
-        # log-sum-exp; opposite signs go through a guarded expm1 path
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.log_mag >= other.log_mag else (other, self)
-        diff = lo.log_mag - hi.log_mag
-        if self.sign == other.sign:
-            return ExactValue(self.sign, hi.log_mag + math.log1p(math.exp(diff)))
-        rem = -math.expm1(diff)
-        if rem <= 0.0:
-            return ExactValue(0, float("-inf"))
-        return ExactValue(hi.sign, hi.log_mag + math.log(rem))
-
-    def __neg__(self) -> "ExactValue":
-        return ExactValue(-self.sign, self.log_mag)
 
 
 def _check_index(name: str, value: int, minimum: int = 1) -> None:

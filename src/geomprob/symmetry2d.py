@@ -1,4 +1,5 @@
-"""Steiner symmetrization, Blaschke shaking, and the planar pinned-ratio bound.
+"""Steiner symmetrization, Blaschke shaking, the planar pinned-ratio bound,
+and det A and E V monotonicity over nested random polygons.
 
 Both operators work on a chord decomposition of a convex polygon: rotate so
 the relevant line is the x-axis, split the boundary into a lower chain
@@ -21,11 +22,13 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .bodies import Polygon2D, VERTEX_TOL
 from .errors import InvalidBodyError
-from .estimators import _resolve_stream, pinned_moment_estimate
+from .estimators import _resolve_stream, det_cov_estimate, moment_estimate, pinned_moment_estimate
 from .report import ExperimentReport
 from .sampling import SampleStream
 
 PLANE_PINNED_BOUND = 8.0 / (9.0 * math.pi**2)
+# two-sided gate, in standard errors, on every Monte Carlo comparison here
+SIGMA_WINDOW = 4.0
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -214,9 +217,9 @@ def plane_bound_pipeline(poly: Polygon2D, x, n: int = 10**6, seed=0) -> Experime
     r0, se0 = _pinned_ratio(body0, n, stream.substream(0))
     r1, se1 = _pinned_ratio(body1, n, stream.substream(1))
     r2, se2 = _pinned_ratio(body2, n, stream.substream(2))
-    step1_ok = r0 - r1 >= -4.0 * math.hypot(se0, se1)
-    step2_ok = r1 - r2 >= -4.0 * math.hypot(se1, se2)
-    bound_ok = r2 >= PLANE_PINNED_BOUND - 4.0 * se2
+    step1_ok = r0 - r1 >= -SIGMA_WINDOW * math.hypot(se0, se1)
+    step2_ok = r1 - r2 >= -SIGMA_WINDOW * math.hypot(se1, se2)
+    bound_ok = r2 >= PLANE_PINNED_BOUND - SIGMA_WINDOW * se2
     verdict = "pass" if (step1_ok and step2_ok and bound_ok) else "fail"
     return ExperimentReport(
         name="plane-check",
@@ -327,3 +330,45 @@ def nested_polygon_pair(stream: SampleStream) -> tuple[Polygon2D, Polygon2D]:
         if inner is not outer and inner.area() >= 0.15 * outer.area():
             return inner, outer
     raise InvalidBodyError("could not build a nested polygon pair")
+
+
+def monotonicity_2d(pairs: int, n: int, seed: int = 0) -> ExperimentReport:
+    """Nested random polygon pairs K in L: both det A and E V stay monotone."""
+    if pairs < 1:
+        raise ValueError(f"pairs must be at least 1, got {pairs}")
+    t0 = time.perf_counter()
+    stream = SampleStream(seed, 0)
+    det_violations = 0
+    moment_violations = 0
+    worst_det_z = -math.inf
+    worst_moment_z = -math.inf
+    for i in range(pairs):
+        inner, outer = nested_polygon_pair(stream.substream(2 * i))
+        est_stream = stream.substream(2 * i + 1)
+        det_k = det_cov_estimate(inner, n, est_stream.substream(0))
+        det_l = det_cov_estimate(outer, n, est_stream.substream(1))
+        mom_k = moment_estimate(inner, 1, n, est_stream.substream(2))
+        mom_l = moment_estimate(outer, 1, n, est_stream.substream(3))
+        det_z = (det_k.mean - det_l.mean) / math.hypot(det_k.stderr, det_l.stderr)
+        mom_z = (mom_k.mean - mom_l.mean) / math.hypot(mom_k.stderr, mom_l.stderr)
+        worst_det_z = max(worst_det_z, det_z)
+        worst_moment_z = max(worst_moment_z, mom_z)
+        if det_z > SIGMA_WINDOW:
+            det_violations += 1
+        if mom_z > SIGMA_WINDOW:
+            moment_violations += 1
+    verdict = "pass" if det_violations == 0 and moment_violations == 0 else "fail"
+    return ExperimentReport(
+        name="monotonicity-2d",
+        verdict=verdict,
+        seed=seed,
+        n=n,
+        params={"pairs": pairs},
+        metrics={
+            "det_violations": det_violations,
+            "moment_violations": moment_violations,
+            "worst_det_z": worst_det_z,
+            "worst_moment_z": worst_moment_z,
+        },
+        wall_time_s=time.perf_counter() - t0,
+    )

@@ -126,7 +126,7 @@ def test_criterion_05_planar_pinned_bound():
     bound = gp.PLANE_PINNED_BOUND
     half_disk = gp.half_ball(2)
     est = gp.pinned_moment_estimate(half_disk, [0.0, 0.0], 1, N_PLANE, seed=220)
-    area = gp.exact_volume(half_disk)
+    area = half_disk.volume()
     ratio = est.mean / area
     se = est.stderr / area
     ok = abs(ratio - bound) <= SIGMA * se
@@ -263,18 +263,14 @@ def test_criterion_09_derivative_formulas_match_fd():
 
 
 def test_criterion_10_planar_det_monotonicity():
-    from geomprob.cli import monotonicity_2d
-
-    rep = monotonicity_2d(50, N_PAIR_EST, seed=240)
+    rep = gp.monotonicity_2d(50, N_PAIR_EST, seed=240)
     ok = rep.verdict == "pass" and rep.metrics["det_violations"] == 0
     record(10, "nested pairs keep det A ordered in d=2", ok,
            f"worst det z {rep.metrics['worst_det_z']:.2f}")
 
 
 def test_criterion_11_det_covariance_counterexample_d3():
-    from geomprob.cli import detcov_counterexample
-
-    rep = detcov_counterexample(n=N_DETCOV_CX, seed=0, variant="simplex")
+    rep = gp.detcov_counterexample(n=N_DETCOV_CX, seed=0, variant="simplex")
     m = rep.metrics
     ok = rep.verdict == "pass"
     ok &= abs(m["facet_center_norm"] - math.sqrt(5.0 / 3.0)) <= 0.01

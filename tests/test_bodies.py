@@ -80,11 +80,11 @@ def test_cut_and_affine_membership_compose():
 
 
 def test_exact_volumes_closed_forms():
-    assert math.isclose(gp.exact_volume(gp.Ball(np.zeros(3), 2.0)), (4 * math.pi / 3) * 8, rel_tol=VOL_REL_TOL)
-    assert math.isclose(gp.exact_volume(gp.unit_cube(4)), 1.0, rel_tol=VOL_REL_TOL)
-    assert math.isclose(gp.exact_volume(gp.half_ball(4)), gp.kappa(4).to_float() / 2, rel_tol=VOL_REL_TOL)
+    assert math.isclose(gp.Ball(np.zeros(3), 2.0).volume(), (4 * math.pi / 3) * 8, rel_tol=VOL_REL_TOL)
+    assert math.isclose(gp.unit_cube(4).volume(), 1.0, rel_tol=VOL_REL_TOL)
+    assert math.isclose(gp.half_ball(4).volume(), gp.kappa(4).to_float() / 2, rel_tol=VOL_REL_TOL)
     tri = gp.Polygon2D([[0, 0], [2, 0], [0, 1]])
-    assert math.isclose(gp.exact_volume(tri), 1.0, rel_tol=VOL_REL_TOL)
+    assert math.isclose(tri.volume(), 1.0, rel_tol=VOL_REL_TOL)
 
 
 def test_half_ball_cone_volume_formula():
@@ -94,27 +94,27 @@ def test_half_ball_cone_volume_formula():
         kd = gp.kappa(d).to_float()
         kdm1 = gp.kappa(d - 1).to_float()
         want = kd / 2 + kdm1 * (eps / d) * (1.0 - (delta / eps) ** d)
-        assert math.isclose(gp.exact_volume(cone), want, rel_tol=VOL_REL_TOL)
+        assert math.isclose(cone.volume(), want, rel_tol=VOL_REL_TOL)
     assert math.isclose(
-        gp.exact_volume(gp.HalfBallCone(2, 0.5, 0.0)), math.pi / 2 + 0.5, rel_tol=VOL_REL_TOL
+        gp.HalfBallCone(2, 0.5, 0.0).volume(), math.pi / 2 + 0.5, rel_tol=VOL_REL_TOL
     )
 
 
 def test_half_ball_cone_volume_against_rejection():
     cone = gp.HalfBallCone(3, 0.1, 0.02)
     est = gp.volume_estimate(cone, 200000, 7)
-    assert abs(est.mean - gp.exact_volume(cone)) <= 4 * est.stderr
+    assert abs(est.mean - cone.volume()) <= 4 * est.stderr
 
 
 def test_affine_image_volume_scales_by_det():
     mat = np.array([[1.0, 2.0], [0.0, 3.0]])
     img = gp.affine_image(gp.Ball(np.zeros(2), 1.0), mat, [5.0, 5.0])
-    assert math.isclose(gp.exact_volume(img), 3.0 * math.pi, rel_tol=VOL_REL_TOL)
+    assert math.isclose(img.volume(), 3.0 * math.pi, rel_tol=VOL_REL_TOL)
 
 
 def test_cut_through_ball_center_has_half_volume():
     cut = gp.intersect_halfspace(gp.Ball(np.zeros(3), 1.5), gp.Halfspace.through([0.0, 1.0, 0.0], 0.0))
-    assert math.isclose(gp.exact_volume(cut), gp.kappa(3).to_float() * 1.5**3 / 2, rel_tol=VOL_REL_TOL)
+    assert math.isclose(cut.volume(), gp.kappa(3).to_float() * 1.5**3 / 2, rel_tol=VOL_REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_polygon_canonicalization_is_input_order_invariant():
 
 def test_polygon_box_is_the_vertex_extremes_after_copy_and_json():
     poly = gp.half_disk_polygon(16)
-    for body in (poly, copy.deepcopy(poly), gp.body_from_json(gp.body_to_json(poly))):
+    for body in (poly, copy.deepcopy(poly), gp.body_from_json(poly.to_json())):
         box = body.box()
         assert np.array_equal(box.lo, body.vertices.min(axis=0))
         assert np.array_equal(box.hi, body.vertices.max(axis=0))
@@ -234,7 +234,7 @@ def test_polygon_membership_half_disk():
     # every accepted point lies in the true half disk
     true_in = (np.linalg.norm(pts, axis=1) <= 1 + 1e-9) & (pts[:, 1] >= -1e-9)
     assert np.all(true_in[inside])
-    area = gp.exact_volume(poly)
+    area = poly.volume()
     assert area < math.pi / 2
     assert math.isclose(area, math.pi / 2, rel_tol=0.01)
 
@@ -302,7 +302,7 @@ def test_make_counterexample_pair_is_nested():
     inner, outer = gp.make_counterexample_pair(3, 0.2, 0.05)
     pts = gp.sample_body(gp.SampleStream(19, 0), inner, 4000)
     assert outer.contains_batch(pts).all()
-    assert gp.exact_volume(inner) < gp.exact_volume(outer)
+    assert inner.volume() < outer.volume()
     with pytest.raises(gp.InvalidBodyError):
         gp.make_counterexample_pair(3, 0.1, 0.1)
 
@@ -341,11 +341,11 @@ def test_dimension_cap_enforced():
 )
 def test_json_round_trip_preserves_membership_and_volume(make):
     body = make()
-    text = json.dumps(gp.body_to_json(body))
+    text = json.dumps(body.to_json())
     back = gp.body_from_json(text)
     pts = cloud(23, body.dim, scale=3.0)
     assert np.array_equal(body.contains_batch(pts), back.contains_batch(pts))
-    va, vb = gp.exact_volume(body), gp.exact_volume(back)
+    va, vb = body.volume(), back.volume()
     assert (va is None and vb is None) or math.isclose(va, vb, rel_tol=1e-12)
 
 
@@ -361,7 +361,7 @@ def test_body_from_json_rejects_malformed():
 
 
 def test_body_from_json_checks_hpoly_bound():
-    square = gp.body_to_json(gp.unit_cube(2))
+    square = gp.unit_cube(2).to_json()
     assert isinstance(gp.body_from_json(square), gp.HPolytope)
     with pytest.raises(gp.InvalidBodyError, match="bound"):
         gp.body_from_json({**square, "bound": {"lo": [0, 0], "hi": [1, 0.5]}})
@@ -381,7 +381,7 @@ def test_cap_volume_matches_quadrature(d, t):
     section = gp.kappa(d - 1).to_float()
     want = quad(lambda u: section * (1.0 - u * u) ** ((d - 1) / 2.0), t, 1.0,
                 epsabs=1e-13, epsrel=1e-13)[0]
-    assert math.isclose(gp.exact_volume(cap), want, rel_tol=1e-10)
+    assert math.isclose(cap.volume(), want, rel_tol=1e-10)
 
 
 def test_slab_volume_from_two_parallel_cuts():
@@ -392,14 +392,14 @@ def test_slab_volume_from_two_parallel_cuts():
     )
     # pi * integral of (1 - u^2) over [0.2, 0.6]
     want = math.pi * ((0.6 - 0.6**3 / 3.0) - (0.2 - 0.2**3 / 3.0))
-    assert math.isclose(gp.exact_volume(slab), want, rel_tol=1e-12)
+    assert math.isclose(slab.volume(), want, rel_tol=1e-12)
 
 
 def test_cap_volume_off_center_ball():
     cap = gp.intersect_halfspace(
         gp.Ball(np.array([2.0, 0.0]), 0.5), gp.Halfspace.through([1, 0], 2.0)
     )
-    assert math.isclose(gp.exact_volume(cap), math.pi * 0.25 / 2.0, rel_tol=1e-12)
+    assert math.isclose(cap.volume(), math.pi * 0.25 / 2.0, rel_tol=1e-12)
 
 
 def test_non_parallel_cuts_have_no_closed_volume():
@@ -408,7 +408,7 @@ def test_non_parallel_cuts_have_no_closed_volume():
         gp.intersect_halfspace(ball, gp.Halfspace.through([1, 0, 0], 0.0)),
         gp.Halfspace.through([0, 1, 0], 0.0),
     )
-    assert gp.exact_volume(wedge) is None
+    assert wedge.volume() is None
 
 
 def test_cap_bounding_box_shrinks_transverse_axes():

@@ -141,14 +141,14 @@ def _as_emitted(obj):
 
 
 def _polygon_json(poly) -> str:
-    return json.dumps(gp.body_to_json(poly))
+    return json.dumps(poly.to_json())
 
 
 def test_symmetrize_steiner_matches_library(capsys):
     text = _polygon_json(gp.random_convex_polygon(gp.SampleStream(31, 0)))
     code, lines = run_lines(capsys, ["symmetrize", "--poly", text, "--op", "steiner", "--angle", "0.7"])
     assert code == 0
-    assert lines == [_as_emitted(gp.body_to_json(gp.steiner_symmetrize(gp.body_from_json(text), 0.7)))]
+    assert lines == [_as_emitted(gp.steiner_symmetrize(gp.body_from_json(text), 0.7).to_json())]
 
 
 def test_plane_check_prints_pipeline_record(capsys):
@@ -253,6 +253,29 @@ def test_monotonicity_2d_small_run(capsys):
     rec = lines[0]
     assert rec["verdict"] == "pass"
     assert rec["metrics"]["det_violations"] == 0
+
+
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_monotonicity_2d_without_pairs_is_usage_error(capsys, pairs):
+    code = main(["monotonicity-2d", "--pairs", pairs, "--n", "6400"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("pairs", [0, -2])
+def test_monotonicity_2d_rejects_fewer_than_one_pair(pairs):
+    with pytest.raises(ValueError, match="pairs"):
+        gp.monotonicity_2d(pairs, 6400)
+
+
+def test_experiments_keep_their_cli_names():
+    # perfbench/tracing.py (CLI_FNS) wraps these by their cli names and
+    # perfbench/workloads.py:120 calls cli.detcov_counterexample, so the CLI
+    # must hold the library's own function objects
+    assert gp.cli.detcov_counterexample is gp.derivatives.detcov_counterexample
+    assert gp.cli.monotonicity_2d is gp.symmetry2d.monotonicity_2d
 
 
 def test_malformed_body_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Cut-family derivative formulas against analytic values and finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,18 @@ def test_support_interval_contains_sampled_extremes(name, monkeypatch):
 def test_support_interval_of_cut_cone_raises():
     with pytest.raises(gp.InvalidBodyError):
         gp.support_interval(BODIES["cut_cone"](), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("name", sorted(BODIES))
+@pytest.mark.parametrize("fill", [0.0, math.nan, math.inf])
+def test_cut_family_rejects_a_zero_or_non_finite_direction(name, fill):
+    body = BODIES[name]()
+    v = np.zeros(body.dim)
+    v[0] = fill
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="direction must be nonzero and finite"):
+            gp.cut_family(body, v)
 
 
 def test_cut_family_normalizes_and_cuts():

@@ -210,24 +210,15 @@ def test_chain_bound_dominates_ratio_bound_for_d4():
 # ExactValue arithmetic and input guards
 
 
-def test_exact_value_round_trip_and_ops():
-    a = ExactValue.from_float(1.5)
-    b = ExactValue.from_float(-0.25)
-    assert math.isclose((a * b).to_float(), -0.375, rel_tol=REL_TOL)
+def test_exact_value_division():
+    a = ExactValue(1, math.log(1.5))
+    b = ExactValue(-1, math.log(0.25))
+    zero = ExactValue(0, float("-inf"))
     assert math.isclose((a / b).to_float(), -6.0, rel_tol=REL_TOL)
-    assert math.isclose((b**3).to_float(), -0.015625, rel_tol=REL_TOL)
-    assert math.isclose((a + b).to_float(), 1.25, rel_tol=REL_TOL)
-    assert math.isclose((a + (-a)).to_float(), 0.0, abs_tol=1e-300)
-    assert (-b).sign == 1
-
-
-def test_exact_value_zero_handling():
-    zero = ExactValue.from_float(0.0)
-    one = ExactValue.from_float(1.0)
-    assert (zero * one).sign == 0
-    assert (zero + one).to_float() == 1.0
+    assert (zero / a).sign == 0
+    assert (zero / a).to_float() == 0.0
     with pytest.raises(ZeroDivisionError):
-        one / zero
+        a / zero
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True, 10**6 + 1])

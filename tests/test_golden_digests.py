@@ -112,8 +112,8 @@ def _geometry(name: str) -> list:
     return [
         box.lo,
         box.hi,
-        gp.exact_volume(body),
-        json.dumps(gp.body_to_json(body)),
+        body.volume(),
+        json.dumps(body.to_json()),
         _support(body, _e(d)),
         _support(body, -_e(d)),
         _support(body, _oblique(d)),

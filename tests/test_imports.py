@@ -80,3 +80,16 @@ def test_no_package_import_inside_a_function():
 
 def test_import_graph_has_no_cycle():
     assert _cycle() == []
+
+
+def test_cli_defines_no_experiment():
+    # the CLI parses, calls the library and prints: its public functions are
+    # main, build_parser and the run_* handlers
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name in ("main", "build_parser") or node.name.startswith(("run_", "_")))
+    ]
+    assert found == []
