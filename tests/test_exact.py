@@ -210,11 +210,18 @@ def test_chain_bound_dominates_ratio_bound_for_d4():
 # ExactValue arithmetic and input guards
 
 
-def test_exact_value_division():
+def test_exact_value_round_trip_and_ops():
     a = ExactValue(1, math.log(1.5))
     b = ExactValue(-1, math.log(0.25))
-    zero = ExactValue(0, float("-inf"))
+    assert math.isclose(a.to_float(), 1.5, rel_tol=REL_TOL)
+    assert math.isclose(b.to_float(), -0.25, rel_tol=REL_TOL)
     assert math.isclose((a / b).to_float(), -6.0, rel_tol=REL_TOL)
+
+
+def test_exact_value_zero_handling():
+    a = ExactValue(1, math.log(1.5))
+    zero = ExactValue(0, float("-inf"))
+    assert zero.to_float() == 0.0
     assert (zero / a).sign == 0
     assert (zero / a).to_float() == 0.0
     with pytest.raises(ZeroDivisionError):
