@@ -547,14 +547,24 @@ class Cut(ConvexBody):
         return box
 
     def volume(self) -> float | None:
-        """Exact for a ball cut along one normal line (half-ball, cap, slab), else None."""
+        """Exact for a ball cut along one normal line (half-ball, cap, slab), else None.
+
+        The fraction of the ball is F(s_hi) - F(s_lo) for the axis CDF F. A
+        slab in the upper half, s_lo >= 0, takes it in mirrored form,
+        tail(s_lo) - tail(s_hi) with tail(s) = 1 - F(s) = F(-s)
+        (``_ball_axis_tail``), so a thin cap at the top keeps its relative
+        precision where F is near 1.
+        """
         params = parallel_slab_params(self)
         if params is None:
             return None
         root, _, s_lo, s_hi = params
         d = self.dim
-        frac = max(_ball_axis_cdf(d, s_hi) - _ball_axis_cdf(d, s_lo), 0.0)
-        return exact.kappa(d).to_float() * root.radius**d * frac
+        if s_lo >= 0.0:
+            frac = _ball_axis_tail(d, s_lo) - _ball_axis_tail(d, s_hi)
+        else:
+            frac = _ball_axis_cdf(d, s_hi) - _ball_axis_cdf(d, s_lo)
+        return exact.kappa(d).to_float() * root.radius**d * max(frac, 0.0)
 
     def support(self, v, cuts=()) -> tuple[float, float]:
         return self.base.support(v, (self.halfspace, *cuts))
@@ -686,6 +696,18 @@ def _ball_axis_cdf(d: int, s: float) -> float:
         return 1.0
     tail = 0.5 * float(betainc((d + 1) / 2.0, 0.5, 1.0 - s * s))
     return tail if s <= 0.0 else 1.0 - tail
+
+
+def _ball_axis_tail(d: int, s: float) -> float:
+    """Fraction of the unit d-ball with first coordinate at least s, for s >= 0.
+
+    This is 1 - F(s) = F(-s) for the axis CDF F, with 1 - s^2 formed as
+    (1 - s)(1 + s): near s = 1 the form 1 - s s loses its leading digits,
+    and the cap x_1 >= 0.9999 of the 8-ball would lose 1e-12 of its volume.
+    """
+    if s >= 1.0:
+        return 0.0
+    return 0.5 * float(betainc((d + 1) / 2.0, 0.5, (1.0 - s) * (1.0 + s)))
 
 
 def _ball_axis_ppf(d: int, q: np.ndarray) -> np.ndarray:

@@ -384,6 +384,23 @@ def test_cap_volume_matches_quadrature(d, t):
     assert math.isclose(cap.volume(), want, rel_tol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "t, want", [(0.999, 3.751032488065385769324017e-13), (0.9999, 1.187710479746582935028972e-17)]
+)
+def test_thin_cap_volume_keeps_relative_precision(t, want):
+    """Thin caps x_1 >= t of the unit 8-ball against 40-digit mpmath values:
+
+        from mpmath import mp, mpf, pi, gamma, quad
+        mp.dps = 40
+        pi**3.5 / gamma(4.5) * quad(lambda u: (1 - u * u) ** 3.5, [mpf(t), 1])
+
+    (kappa_7 times the integral of the section profile; mpf(t) is the double t).
+    """
+    e1 = [1.0] + [0.0] * 7
+    cap = gp.intersect_halfspace(gp.Ball(np.zeros(8), 1.0), gp.Halfspace.through(e1, t))
+    assert math.isclose(cap.volume(), want, rel_tol=1e-12)
+
+
 def test_slab_volume_from_two_parallel_cuts():
     ball = gp.Ball(np.zeros(3), 1.0)
     slab = gp.intersect_halfspace(
