@@ -149,6 +149,11 @@ def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: in
     with the family re-based at K_t so the left-endpoint formula applies at
     interior t. The two expectations share the X_2..X_q draws, so the
     difference cancels bitwise for constant f.
+
+    Batch b draws its body points from substream b of substream 0. The
+    slice points of all batches come from one ``sample_slice`` call on
+    substream 1, which builds the slice frame once; batch b takes rows
+    b m to (b + 1) m of it.
     """
     stream = _resolve_stream(seed)
     kt = fam.cut(t)
@@ -160,13 +165,13 @@ def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: in
     q = f.arity
     m = _batch_size(n)
     body_root = stream.substream(0)
-    slice_root = stream.substream(1)
+    slice_pts = sample_slice(stream.substream(1), kt, fam.v, t, m * BATCH_COUNT)
     deltas = np.empty(BATCH_COUNT)
     for b in range(BATCH_COUNT):
         pts = sample_body(body_root.substream(b), kt, m * q).reshape(m, q, d)
         full = f.eval_batch(pts)
         cond_pts = pts.copy()
-        cond_pts[:, 0, :] = sample_slice(slice_root.substream(b), kt, fam.v, t, m)
+        cond_pts[:, 0, :] = slice_pts[b * m : (b + 1) * m]
         cond = f.eval_batch(cond_pts)
         deltas[b] = float(np.mean(full - cond))
     dbar, dse = mean_stderr(deltas)

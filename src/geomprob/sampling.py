@@ -28,12 +28,13 @@ from .bodies import (
     ConvexBody,
     Cut,
     HalfBallCone,
+    Halfspace,
     _ball_axis_cdf,
     _ball_axis_ppf,
     bounding_box,
     parallel_slab_params,
 )
-from .errors import DegenerateBodyError, DegenerateSliceError, DimensionError
+from .errors import DegenerateBodyError, DegenerateSliceError, DimensionError, InvalidBodyError
 from .report import MomentEstimate, hit_or_miss
 
 MASK64 = (1 << 64) - 1
@@ -305,46 +306,69 @@ def slice_basis(v: np.ndarray) -> np.ndarray:
 def sample_slice(stream: SampleStream, body: ConvexBody, v, t: float, n: int) -> np.ndarray:
     """n points uniform on the hyperplane section {x in body : <v, x> = t}.
 
-    Rejection from a (d-1)-box in slice coordinates, sized from the body's
-    bounding sphere. Raises DegenerateSliceError when the section has
-    negligible (d-1)-volume.
+    Rejection from the section's own (d-1)-box in slice coordinates (see
+    ``_slice_frame``), with membership tested on every proposal. The frame is
+    built once per call, so a caller that needs many slice points draws them
+    in one call. Raises DegenerateSliceError when the plane misses the body
+    or the section has negligible (d-1)-volume.
     """
-    basis, box, anchor = _slice_frame(body, v, t)
     try:
+        basis, box, anchor = _slice_frame(body, v, t)
+        if box.volume() <= 0:
+            raise DegenerateBodyError("the section's box has zero volume")
         coords = _rejection_sample(stream, n, box, lambda c: body.contains_batch(anchor + c @ basis))
     except DegenerateBodyError as err:
         raise DegenerateSliceError(
             f"slice at offset {t} has negligible measure: {err}"
         ) from err
-    return anchor + coords @ basis
+    pts = coords @ basis
+    pts += anchor
+    return pts
 
 
 def _slice_frame(body: ConvexBody, v, t: float):
     """(basis, box, anchor): coordinates c on {<v, x> = t} map to anchor + c @ basis.
 
-    The (d-1)-box [-r, r]^(d-1) covers the section: the plane's cut of the
-    sphere about the origin through the farthest corner of the body's box.
+    The rows u_j of ``slice_basis(v)`` are orthogonal to v, so the anchor is
+    t v and the slice coordinate c_j of x is <u_j, x>. The (d-1)-box is the
+    section's exact extent: side j is ``body.support(u_j, cuts)`` with the
+    plane pinned by the cuts <v, x> >= t and <-v, x> >= -t, in closed form
+    or by two HiGHS LPs per side. Raises DegenerateBodyError where the plane
+    misses the body.
+
+    A HalfBallCone, or a cut of one, has no exact support under cuts; there
+    the box is [-r, r]^(d-1), the plane's cut of the sphere about the origin
+    through the farthest corner of the body's box.
     """
     if body.dim < 2:
         raise DimensionError("slices need ambient dimension >= 2")
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
-    big = bounding_box(body).max_norm()
-    r2 = big * big - t * t
-    # where the plane only grazes the bounding sphere, keep a positive box
-    radius = float(np.sqrt(r2)) if r2 > 0 else max(abs(big) * 1e-8, 1e-8)
-    d1 = body.dim - 1
-    return slice_basis(v), BoundingBox(np.full(d1, -radius), np.full(d1, radius)), t * v
+    basis = slice_basis(v)
+    plane = (Halfspace(v, t), Halfspace(-v, -t))
+    try:
+        ends = np.array([body.support(u, plane) for u in basis])
+    except InvalidBodyError:
+        big = bounding_box(body).max_norm()
+        r2 = big * big - t * t
+        # where the plane only grazes the bounding sphere, keep a positive box
+        radius = float(np.sqrt(r2)) if r2 > 0 else max(abs(big) * 1e-8, 1e-8)
+        ends = np.tile([-radius, radius], (body.dim - 1, 1))
+    # a section that is a point or an edge may come back with its ends crossed by a rounding
+    return basis, BoundingBox(ends[:, 0], np.maximum(ends[:, 1], ends[:, 0])), t * v
 
 
 def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int) -> MomentEstimate:
     """Estimate the (d-1)-volume of the section {<v, x> = t} of the body.
 
-    Monte Carlo in slice coordinates: acceptance fraction of a box of known
-    (d-1)-volume, with the usual binomial standard error.
+    Monte Carlo in slice coordinates: the hit fraction of n uniform proposals
+    in the section's box from ``_slice_frame`` times ``box.volume()``, with
+    the binomial standard error. A plane that misses the body gives a zero
+    estimate with zero standard error.
     """
-    basis, box, anchor = _slice_frame(body, v, t)
-    # (2r)^(d-1) by pow: box.volume() multiplies the sides and can differ in the last bit
-    box_vol = (2.0 * float(box.hi[0])) ** box.dim
+    try:
+        basis, box, anchor = _slice_frame(body, v, t)
+    except DegenerateBodyError:
+        return MomentEstimate(0.0, 0.0, n)
     ok = body.contains_batch(anchor + box.uniform(stream, n) @ basis)
-    return hit_or_miss(float(ok.mean()), n, box_vol)
+    return hit_or_miss(float(ok.mean()), n, box.volume())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import geomprob as gp
-from geomprob.sampling import REJECTION_BATCH, _reject, _rejection_sample
+from geomprob.sampling import REJECTION_BATCH, _reject, _rejection_sample, _slice_frame
 
 N_MOMENT = 200000
 SIGMA = 4.0
@@ -163,6 +163,64 @@ def test_rejection_starvation_raises():
     shaved = gp.intersect_halfspace(gp.Ball(np.zeros(2), 1.0), gp.Halfspace.through([1.0, 0.0], 2.0))
     with pytest.raises(gp.DegenerateBodyError):
         gp.sample_body(gp.SampleStream(20, 0), shaved, 100)
+
+
+def test_slice_of_half_ball_cone_keeps_the_sphere_box():
+    # HalfBallCone has no exact support under cuts; at x_1 = t in (-eps, 0) its
+    # section is the disk of radius (t + eps)/eps
+    body, t, eps = gp.HalfBallCone(3, 0.5), -0.2, 0.5
+    v = np.array([1.0, 0.0, 0.0])
+    est = gp.slice_measure(gp.SampleStream(24, 0), body, v, t, N_MOMENT)
+    assert abs(est.mean - math.pi * ((t + eps) / eps) ** 2) <= SIGMA * est.stderr
+    pts = gp.sample_slice(gp.SampleStream(25, 0), body, v, t, 20000)
+    assert np.allclose(pts @ v, t, atol=1e-12)
+    assert body.contains_batch(pts).all()
+
+
+FRAME_BODIES = {
+    "ball": lambda: gp.Ball(np.array([0.3, -0.2, 0.1]), 1.5),
+    "half_ball3": lambda: gp.half_ball(3),
+    "half_ball4": lambda: gp.half_ball(4),
+    "unit_cube3": lambda: gp.unit_cube(3),
+    "isotropic_simplex3": lambda: gp.isotropic_simplex(3),
+    "isotropic_half_ball3": lambda: gp.isotropic_half_ball(3),
+    "isotropic_half_ball3_cut": lambda: gp.intersect_halfspace(
+        gp.isotropic_half_ball(3), gp.Halfspace.through([1.0, 1.0, 0.0], 0.3)
+    ),
+    "simplex_with_hull_point": lambda: gp.simplex_with_hull_point()[0],
+}
+FRAME_CHUNK = 1 << 17
+FRAME_MAX_CHUNKS = 128
+FRAME_REACH = 1e-2
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_BODIES))
+def test_slice_frame_is_the_exact_extent_of_the_section(name):
+    """Hits of a dense draw from the old sphere box all lie in the section's box
+    and reach each of its faces within FRAME_REACH: the box cuts off no part of
+    the section and is not loose. Chunks are drawn until every face is reached."""
+    body = FRAME_BODIES[name]()
+    d = body.dim
+    root = gp.SampleStream(26, 0)
+    directions = (np.r_[0.6, 0.8, np.zeros(d - 2)], np.r_[1.0, -2.0, 2.0, np.zeros(d - 3)] / 3.0)
+    for i, v in enumerate(directions):
+        a, b = body.support(v)
+        for j, frac in enumerate((0.3, 0.5, 0.7)):
+            t = a + frac * (b - a)
+            basis, box, anchor = _slice_frame(body, v, t)
+            big = gp.bounding_box(body).max_norm()
+            r = math.sqrt(big * big - t * t)
+            sphere_box = gp.BoundingBox(np.full(d - 1, -r), np.full(d - 1, r))
+            stream = root.substream(3 * i + j)
+            lo, hi = np.full(d - 1, np.inf), np.full(d - 1, -np.inf)
+            for _ in range(FRAME_MAX_CHUNKS):
+                c = sphere_box.uniform(stream, FRAME_CHUNK)
+                hits = c[body.contains_batch(anchor + c @ basis)]
+                assert np.all(hits >= box.lo - 1e-9) and np.all(hits <= box.hi + 1e-9), (v, t)
+                lo, hi = np.minimum(lo, hits.min(axis=0)), np.maximum(hi, hits.max(axis=0))
+                if np.all(lo - box.lo <= FRAME_REACH) and np.all(box.hi - hi <= FRAME_REACH):
+                    break
+            assert np.all(lo - box.lo <= FRAME_REACH) and np.all(box.hi - hi <= FRAME_REACH), (v, t)
 
 
 def test_slice_basis_is_orthonormal_complement():
