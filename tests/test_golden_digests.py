@@ -246,15 +246,15 @@ CASES = {
 CASES.update({f"geometry/{name}": (lambda name=name: _geometry(name)) for name in BODIES})
 
 GOLDEN = {
-    "derivative/crofton_coordsum": "109317e145adc51cd6226de2e2baa102eb039c7e57f81f5b2f46ddec1149eb5d",
-    "derivative/crofton_simplexvol": "e95252c1660208f84020b6285daaa77236ef969a04fce7493a988caac8ff2e26",
-    "derivative/detcov_simplex": "5bbadb72125bcb99bae06bf20e15aa816337991a967ecd6d6fbcf6d8d7cd35c6",
+    "derivative/crofton_coordsum": "b646894b12df84dbbd2550c0809c696493fd25b97894c135a46f8b4cb6786d79",
+    "derivative/crofton_simplexvol": "02074445b658ffd1684da583e732bb8d710a263c6f9ea4888c363bb9dff3c979",
+    "derivative/detcov_simplex": "c3bb32590e47b8bfc3375929b47a306cbbdc92b4f6561d8c08caca613d377054",
     "derivative/detcov_square": "141390cd01fd0e1cd4e48d7486158f31935fd720acdf49d064aaba7e6db9f8c4",
     "estimate/det_cov": "8beab9300efda60e95cd29c6f3033b2844bd6326e2613c73c0ee2d8846206709",
     "estimate/det_cov_increase": "0bb038b22a5f055923e1a691d6647b255e0cdc6c126e070fd3567626c83a6774",
     "estimate/moment": "f36a7cba7cf29d1294813ace6f1e0939b5a5ee5e0ec2205e470ac6fff49878b8",
-    "estimate/slice_measure": "0f9d87a3322da7e9049fddcbb6d669aa1da751722dacb12d11884e2b9d3954c5",
-    "estimate/slice_measure_d4": "c82de94083d0a5430b58fc0eb60cce1ef8ad6d266c219d2d011e0fbe84b24eb2",
+    "estimate/slice_measure": "a4539cf149415e03b048deacb8e68442a259a959c77b315a413b64bc8eac11e3",
+    "estimate/slice_measure_d4": "0f4b13a1de5fca310738c8f8f2fa4f54d9dfa64c22393c4a3942a2e3887084ad",
     "estimate/volume": "dbb64cb9d861922da3c0328b96ae5fc04469101c09e7b2e08a98b506bf3f51e9",
     "geometry/affine_half_ball": "091edd25b0503a037bd5b3fbdf2776b9dbb0c74f9eeab0e5afa099787ade1c47",
     "geometry/affine_polygon": "0108c8ab6fb62fbc4b6ddf01db6caa98ae7bc5706c29782bdadd453d6f2d0510",
@@ -285,8 +285,8 @@ GOLDEN = {
     "sample/slab_two_sided": "e4adfb999d8a6e52f24e3b3a869bb07e78bfba108963a9059d22dbb0b92cc43b",
     "sample/slab_d4": "0871a2a31e6c1d0a7089ae8b85f8d38941633df04056103bfe666eb7518845d2",
     "sample/slab_d5": "652e82050bf6cc2543e868249fcc9b1d9fc5cabf167bdef93e516ce2ce519b98",
-    "sample/slice": "6860e7fbf979895fcbb5f2398adbf35dfc5e87841b3170cc88a6bd49c032dedf",
-    "sample/slice_d4": "5cd831eb552793651aeb9a30a0b6465d4cbd0c3c5badd20520ac248d7770221b",
+    "sample/slice": "a2884322eb469f22e99344914ad68ae8ad29975c7410cd4bc28564f6cfdaf3c4",
+    "sample/slice_d4": "79464e695192a097c72ac7466f4c41314ff14cbffc247a6f195372d48808ec80",
     "stream/normal": "cc7660378137af362b9d7f5f3d1836d841debdae895dfc85e864851e702e8ffe",
     "stream/substream": "b08747be3c2a0286e409d0d614842cb63fe916de425ccb1e1d03d8274513018b",
     "stream/uniform": "7876d35df7d632cc0b495dd280cfb9ff895ec2465313d7fce0646aa43851958a",
