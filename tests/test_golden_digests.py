@@ -6,10 +6,10 @@ GOLDEN; pytest's assertion message truncates it.
 
 Each case hashes the exact bits of one output at a small sample budget:
 the first stream variates, ``sample_body`` on every sampler path, the
-slice sampler and slice measure at d = 3 and d = 4, polygon membership at
-and near the boundary, the per-body geometry (bounding box, closed-form
-volume, JSON text, support interval) and the estimators and derivative
-formulas. A refactor must leave every digest unchanged. A change that
+slice sampler and slice measure at d = 3 and d = 4 and on an oblique
+section of the isotropic simplex, polygon membership at and near the
+boundary, the per-body geometry (bounding box, closed-form volume, JSON
+text, support interval) and the estimators and derivative formulas. A refactor must leave every digest unchanged. A change that
 alters an output on purpose updates the digest here and says so in
 CHANGES.md, and in the README's reproducibility section when a random
 stream changes.
@@ -216,6 +216,10 @@ CASES = {
     "sample/slice_d4": lambda: [
         gp.sample_slice(gp.SampleStream(13, 0), gp.half_ball(4), _e(4), 0.1, 2000)
     ],
+    # an LP-built frame, and membership by the (k, m) BLAS product of the facet normals
+    "sample/slice_simplex": lambda: [
+        gp.sample_slice(gp.SampleStream(13, 1), gp.isotropic_simplex(3), _oblique(3), 0.3, 2000)
+    ],
     "membership/polygon_boundary": _polygon_boundary,
     "estimate/volume": lambda: _est(gp.volume_estimate(gp.isotropic_simplex(3), 64 * 200, seed=11)),
     "estimate/slice_measure": lambda: _est(
@@ -287,6 +291,7 @@ GOLDEN = {
     "sample/slab_d5": "652e82050bf6cc2543e868249fcc9b1d9fc5cabf167bdef93e516ce2ce519b98",
     "sample/slice": "a2884322eb469f22e99344914ad68ae8ad29975c7410cd4bc28564f6cfdaf3c4",
     "sample/slice_d4": "79464e695192a097c72ac7466f4c41314ff14cbffc247a6f195372d48808ec80",
+    "sample/slice_simplex": "2404307db2d5e4fe46112f45b5ea11f7567e98ede8be8d4f433b359f922bf3a5",
     "stream/normal": "cc7660378137af362b9d7f5f3d1836d841debdae895dfc85e864851e702e8ffe",
     "stream/substream": "b08747be3c2a0286e409d0d614842cb63fe916de425ccb1e1d03d8274513018b",
     "stream/uniform": "7876d35df7d632cc0b495dd280cfb9ff895ec2465313d7fce0646aa43851958a",
@@ -310,14 +315,20 @@ def test_every_case_is_pinned():
 
 
 # halfspace membership runs as a (k, d) x (d, m) BLAS product
-BLAS_CASES = sorted(case for case in CASES if case.startswith(("sample/box_reject", "membership/")))
+BLAS_CASES = sorted(
+    case
+    for case in CASES
+    if case.startswith(("sample/box_reject", "membership/"))
+    or case in ("sample/slice_simplex", "estimate/slice_measure")
+)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_rejection_digests_do_not_depend_on_blas_threads(threads):
-    """The polygon and polytope rejection digests, recomputed in a fresh process
-    whose OpenBLAS splits its products over the given number of threads."""
-    assert len(BLAS_CASES) == 5
+    """The polygon and polytope rejection digests and the polytope slice digests,
+    recomputed in a fresh process whose OpenBLAS splits its products over the
+    given number of threads."""
+    assert len(BLAS_CASES) == 7
     src = Path(gp.__file__).resolve().parents[1]
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(src), str(here), os.environ.get("PYTHONPATH", "")])
