@@ -143,6 +143,9 @@ def test_sample_slice_lies_on_plane_and_in_body():
 def test_sample_slice_starves_outside_support():
     with pytest.raises(gp.DegenerateSliceError):
         gp.sample_slice(gp.SampleStream(17, 0), gp.Ball(np.zeros(2), 1.0), [1.0, 0.0], 1.5, 100)
+    # the tangent section is a point: its box has zero volume
+    with pytest.raises(gp.DegenerateSliceError):
+        gp.sample_slice(gp.SampleStream(17, 0), gp.Ball(np.zeros(2), 1.0), [1.0, 0.0], 1.0, 100)
 
 
 def test_slice_measure_matches_disk_area():
@@ -156,6 +159,17 @@ def test_slice_measure_matches_disk_area():
 def test_slice_measure_zero_beyond_support():
     est = gp.slice_measure(gp.SampleStream(19, 0), gp.Ball(np.zeros(2), 1.0), [1.0, 0.0], 1.2, 10000)
     assert est.mean == 0.0
+
+
+def test_slice_at_a_polytope_vertex_is_degenerate():
+    # the LP ends of a point section can cross by a rounding; the frame gives them zero width
+    sim = gp.isotropic_simplex(3)
+    for w in gp.regular_simplex_vertices(3):
+        v = w / np.linalg.norm(w)
+        t = sim.support(v)[1]
+        assert gp.slice_measure(gp.SampleStream(27, 0), sim, v, t, 1000).mean == 0.0
+        with pytest.raises(gp.DegenerateSliceError):
+            gp.sample_slice(gp.SampleStream(28, 0), sim, v, t, 100)
 
 
 def test_rejection_starvation_raises():
