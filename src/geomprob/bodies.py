@@ -702,8 +702,9 @@ def _ball_axis_tail(d: int, s: float) -> float:
     """Fraction of the unit d-ball with first coordinate at least s, for s >= 0.
 
     This is 1 - F(s) = F(-s) for the axis CDF F, with 1 - s^2 formed as
-    (1 - s)(1 + s): near s = 1 the form 1 - s s loses its leading digits,
-    and the cap x_1 >= 0.9999 of the 8-ball would lose 1e-12 of its volume.
+    (1 - s)(1 + s). Near s = 1 the form 1 - s s rounds in its leading
+    digits, and the volume of the cap x_1 >= 0.9999 of the 8-ball would be
+    off by 1.1e-12 relative.
     """
     if s >= 1.0:
         return 0.0
