@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import betainc, betaincinv
 
 from . import exact
@@ -26,6 +25,8 @@ DIM_CAP = 8
 MEMBERSHIP_ATOL = 1e-12
 VERTEX_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
+# widest rows that row-vector ops run column by column (see _rowwise)
+COLUMN_DIM_MAX = 4
 
 
 def _as_vector(x, d: int | None = None) -> np.ndarray:
@@ -37,6 +38,25 @@ def _as_vector(x, d: int | None = None) -> np.ndarray:
     if d is not None and v.shape[0] != d:
         raise DimensionError(f"expected dimension {d}, got {v.shape[0]}")
     return v
+
+
+def _rowwise(op, pts: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``op(pts, vec)`` for a length-d ``vec`` along the rows of (m, d) ``pts``.
+
+    Broadcast along a short last axis, numpy runs an outer loop with one
+    iteration per row. Up to COLUMN_DIM_MAX columns the op runs down each
+    column instead, into a C-contiguous (m, d) result (``out`` if given,
+    which may be ``pts``). Each entry gets the same IEEE operation, so the
+    result is the broadcast one, bit for bit; wider rows, and points of any
+    other rank, keep the broadcast, where the column passes lose.
+    """
+    if pts.ndim != 2 or pts.shape[1] > COLUMN_DIM_MAX:
+        return op(pts, vec, out=out)
+    if out is None:
+        out = np.empty(pts.shape)
+    for j in range(pts.shape[1]):
+        op(pts[:, j], vec[j], out=out[:, j])
+    return out
 
 
 def _unit(v) -> np.ndarray:
@@ -102,8 +122,17 @@ class BoundingBox:
     def dim(self) -> int:
         return self.lo.shape[0]
 
+    @functools.cached_property
+    def _widths(self) -> np.ndarray:
+        return self.hi - self.lo
+
+    @functools.cached_property
+    def _volume(self) -> float:
+        # formed once per box; the sampler tests it on every call
+        return float(np.prod(self._widths))
+
     def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
+        return self._volume
 
     def corners(self) -> np.ndarray:
         d = self.dim
@@ -120,12 +149,13 @@ class BoundingBox:
     def uniform(self, stream, m: int) -> np.ndarray:
         """m points uniform in the box, from one (m, dim) draw of ``stream.uniform``.
 
-        Scaled and shifted in place: u * (hi - lo) + lo is the same IEEE
-        result as lo + u * (hi - lo).
+        Scaled and shifted in place, column by column up to COLUMN_DIM_MAX
+        (``_rowwise``): u * (hi - lo) + lo is the same IEEE result as
+        lo + u * (hi - lo).
         """
         u = stream.uniform((m, self.dim))
-        u *= self.hi - self.lo
-        u += self.lo
+        _rowwise(np.multiply, u, self._widths, out=u)
+        _rowwise(np.add, u, self.lo, out=u)
         return u
 
 
@@ -158,6 +188,9 @@ def _rows(normals: np.ndarray, offsets: np.ndarray, cuts) -> tuple[np.ndarray, n
 
 def _lp_support(normals: np.ndarray, offsets: np.ndarray, u: np.ndarray, box=None) -> tuple[float, float]:
     """(min, max) of <u, x> over {x : <n_i, x> >= t_i}, within ``box`` if given, by two HiGHS LPs."""
+    # scipy.optimize loads on the first LP, not with the package
+    from scipy.optimize import linprog
+
     bounds = (None, None) if box is None else np.column_stack([box.lo, box.hi])
     ends = []
     for sign in (1.0, -1.0):
@@ -284,7 +317,7 @@ class Ball(ConvexBody):
         return self.center.shape[0]
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(pts - self.center, axis=-1) <= self.radius + MEMBERSHIP_ATOL
+        return np.linalg.norm(_rowwise(np.subtract, pts, self.center), axis=-1) <= self.radius + MEMBERSHIP_ATOL
 
     def box(self) -> BoundingBox:
         return BoundingBox(self.center - self.radius, self.center + self.radius)
@@ -553,7 +586,10 @@ class Cut(ConvexBody):
         slab in the upper half, s_lo >= 0, takes it in mirrored form,
         tail(s_lo) - tail(s_hi) with tail(s) = 1 - F(s) = F(-s)
         (``_ball_axis_tail``), so a thin cap at the top keeps its relative
-        precision where F is near 1.
+        precision where F is near 1. A slab in the lower half, s_hi <= 0, is
+        the mirror image of the slab [-s_hi, -s_lo] and takes
+        tail(-s_hi) - tail(-s_lo), so a thin slab at the bottom keeps its
+        precision too.
         """
         params = parallel_slab_params(self)
         if params is None:
@@ -562,6 +598,8 @@ class Cut(ConvexBody):
         d = self.dim
         if s_lo >= 0.0:
             frac = _ball_axis_tail(d, s_lo) - _ball_axis_tail(d, s_hi)
+        elif s_hi <= 0.0:
+            frac = _ball_axis_tail(d, -s_hi) - _ball_axis_tail(d, -s_lo)
         else:
             frac = _ball_axis_cdf(d, s_hi) - _ball_axis_cdf(d, s_lo)
         return exact.kappa(d).to_float() * root.radius**d * max(frac, 0.0)
@@ -603,7 +641,7 @@ class AffineImage(ConvexBody):
         return self.base.dim
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return self.base.contains_batch((pts - self.shift) @ self.inverse.T)
+        return self.base.contains_batch(_rowwise(np.subtract, pts, self.shift) @ self.inverse.T)
 
     def box(self) -> BoundingBox:
         c = self.base.box().corners() @ self.matrix.T + self.shift

@@ -31,6 +31,7 @@ from .bodies import (
     Halfspace,
     _ball_axis_cdf,
     _ball_axis_ppf,
+    _rowwise,
     bounding_box,
     parallel_slab_params,
 )
@@ -158,8 +159,14 @@ def _reject(n: int, d: int, propose, accept, source: str, round_size) -> np.ndar
     ``BoundingBox.uniform``, the result does not depend on the round sizes.
     The stream's position after the call does, and is unspecified, so
     callers sample from a fresh substream.
+
+    Accepted rows are gathered once, by index, with ``np.take``. A first
+    round that holds all n points is returned as it is gathered; the output
+    buffer is allocated only when a second round is needed.
     """
-    out = np.empty((n, d))
+    if n == 0:
+        return np.empty((0, d))
+    out = None
     got = 0
     tried = 0
     kept = 0
@@ -167,8 +174,8 @@ def _reject(n: int, d: int, propose, accept, source: str, round_size) -> np.ndar
     while got < n:
         m = round_size(n - got, tried, kept)
         pts = propose(m)
-        ok = accept(pts)
-        k = int(ok.sum())
+        idx = np.flatnonzero(accept(pts))
+        k = len(idx)
         tried += m
         kept += k
         if k == 0:
@@ -179,8 +186,11 @@ def _reject(n: int, d: int, propose, accept, source: str, round_size) -> np.ndar
         misses = 0
         take = min(k, n - got)
         if take == n:
-            return pts[ok][:n]
-        out[got : got + take] = pts[ok][:take]
+            return np.take(pts, idx[:n], axis=0)
+        if out is None:
+            out = np.empty((n, d))
+        # the indices are in range; mode "clip" lets take write into out unbuffered
+        np.take(pts, idx[:take], axis=0, out=out[got : got + take], mode="clip")
         got += take
     return out
 
@@ -316,14 +326,18 @@ def sample_slice(stream: SampleStream, body: ConvexBody, v, t: float, n: int) ->
         basis, box, anchor = _slice_frame(body, v, t)
         if box.volume() <= 0:
             raise DegenerateBodyError("the section's box has zero volume")
-        coords = _rejection_sample(stream, n, box, lambda c: body.contains_batch(anchor + c @ basis))
+        coords = _rejection_sample(stream, n, box, lambda c: body.contains_batch(_on_plane(c, basis, anchor)))
     except DegenerateBodyError as err:
         raise DegenerateSliceError(
             f"slice at offset {t} has negligible measure: {err}"
         ) from err
+    return _on_plane(coords, basis, anchor)
+
+
+def _on_plane(coords: np.ndarray, basis: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """anchor + coords @ basis: the points of the plane at slice coordinates ``coords``."""
     pts = coords @ basis
-    pts += anchor
-    return pts
+    return _rowwise(np.add, pts, anchor, out=pts)
 
 
 def _slice_frame(body: ConvexBody, v, t: float):
@@ -339,11 +353,27 @@ def _slice_frame(body: ConvexBody, v, t: float):
     A HalfBallCone, or a cut of one, has no exact support under cuts; there
     the box is [-r, r]^(d-1), the plane's cut of the sphere about the origin
     through the farthest corner of the body's box.
+
+    The last frame built is kept on the body instance with its (v, t), so
+    a derivative formula, which asks for the same frame in ``slice_measure``
+    and then in ``sample_slice``, solves it once. Bodies are immutable, so
+    the kept frame stays exact.
     """
     if body.dim < 2:
         raise DimensionError("slices need ambient dimension >= 2")
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
+    key = (v.tobytes(), t)
+    kept = vars(body).get("_slice_frame")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    frame = _exact_slice_frame(body, v, t)
+    vars(body)["_slice_frame"] = (key, frame)
+    return frame
+
+
+def _exact_slice_frame(body: ConvexBody, v: np.ndarray, t: float):
+    """The frame of ``_slice_frame`` for unit v, built afresh."""
     basis = slice_basis(v)
     plane = (Halfspace(v, t), Halfspace(-v, -t))
     try:
@@ -365,10 +395,19 @@ def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int) -
     in the section's box from ``_slice_frame`` times ``box.volume()``, with
     the binomial standard error. A plane that misses the body gives a zero
     estimate with zero standard error.
+
+    The hits are counted in chunks of REJECTION_BATCH proposals, each one
+    ``box.uniform`` draw. The chunks take the stream's words in the order
+    one draw of n would, so the estimate is the one-draw estimate, bit for
+    bit, while memory stays bounded at any n.
     """
     try:
         basis, box, anchor = _slice_frame(body, v, t)
     except DegenerateBodyError:
         return MomentEstimate(0.0, 0.0, n)
-    ok = body.contains_batch(anchor + box.uniform(stream, n) @ basis)
-    return hit_or_miss(float(ok.mean()), n, box.volume())
+    hits = 0
+    for start in range(0, n, REJECTION_BATCH):
+        coords = box.uniform(stream, min(REJECTION_BATCH, n - start))
+        hits += int(np.count_nonzero(body.contains_batch(_on_plane(coords, basis, anchor))))
+    # hits / n is the exact count over n, rounded once, as the mean of the hit mask was
+    return hit_or_miss(hits / n, n, box.volume())

@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.spatial import ConvexHull, QhullError
 
 from .bodies import Polygon2D, VERTEX_TOL
 from .errors import InvalidBodyError
@@ -65,7 +63,11 @@ class ChordProfile:
         return np.interp(u, self.breakpoints, self.length)
 
     def area(self) -> float:
-        return float(trapezoid(self.length, self.breakpoints))
+        """The trapezoid rule over the breakpoints, in the order of operations of
+        ``scipy.integrate.trapezoid``, so the area is that function's, bit for bit."""
+        x, y = self.breakpoints, self.length
+        d = x[1:] - x[:-1]
+        return float((d * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _collapse_chain(u: np.ndarray, y: np.ndarray, keep_max: bool, tol: float):
@@ -246,6 +248,9 @@ def plane_bound_pipeline(poly: Polygon2D, x, n: int = 10**6, seed=0) -> Experime
 
 def random_convex_polygon(stream: SampleStream, n_points: int = 12) -> Polygon2D:
     """Convex hull of n_points uniform in [-1, 1]^2, retried if its area is 0.1 or less."""
+    # scipy.spatial loads on the first hull, not with the package
+    from scipy.spatial import ConvexHull, QhullError
+
     for _ in range(64):
         pts = stream.uniform((n_points, 2)) * 2.0 - 1.0
         try:
@@ -280,6 +285,8 @@ def symmetric_bottom_polygon(stream: SampleStream) -> Polygon2D:
     origin: exactly the hypotheses of the shaking monotonicity lemma with
     the pinned point at the origin.
     """
+    from scipy.spatial import ConvexHull
+
     pts = stream.uniform((6, 2))
     upper = np.stack([pts[:, 0] * 2.0 - 1.0, 0.2 + 0.8 * pts[:, 1]], axis=1)
     mirrored = upper * np.array([-1.0, 1.0])

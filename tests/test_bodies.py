@@ -197,6 +197,70 @@ def test_inside_matches_the_reference_formula_bit_for_bit(make):
     assert empty.shape == (0,) and empty.dtype == bool
 
 
+def _bits_equal(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _ulp_shell(on: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """The points ``on`` and one and two ulps to either side along ``direction``."""
+    return np.vstack([on + step * np.spacing(np.abs(on)) * direction for step in (-2, -1, 0, 1, 2)])
+
+
+def _assert_masks_match(contains, reference, pts, d):
+    """The mask of (m, d) points, of a (6, 5, k, d) grid of them and of single
+    points equals the reference, and the points fall on both sides."""
+    expected = reference(pts)
+    assert _bits_equal(contains(pts), expected)
+    assert 0 < expected.sum() < len(pts)
+    grid = pts[: 30 * (len(pts) // 30)].reshape(6, 5, -1, d)
+    assert _bits_equal(contains(grid), reference(grid))
+    for p in pts[:: max(1, len(pts) // 40)]:
+        assert contains(p) == reference(p)
+
+
+@pytest.mark.parametrize("d", range(1, DIM_CAP + 1))
+def test_ball_membership_is_the_broadcast_formula_bit_for_bit(d):
+    # d <= 4 subtracts the center column by column, wider balls broadcast
+    rng = np.random.default_rng(50 + d)
+    ball = gp.Ball(rng.normal(size=d), 1.7)
+    u = rng.normal(size=(64, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    on = ball.center + (ball.radius + MEMBERSHIP_ATOL) * u
+    pts = np.vstack([_ulp_shell(on, u), cloud(51, d, scale=2.0) + ball.center])
+
+    def reference(x):
+        return np.linalg.norm(x - ball.center, axis=-1) <= ball.radius + MEMBERSHIP_ATOL
+
+    _assert_masks_match(ball.contains_batch, reference, pts, d)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gp.half_disk_polygon(12),
+        lambda: gp.isotropic_simplex(3),
+        lambda: gp.unit_cube(4),
+        lambda: gp.isotropic_simplex(5),
+        lambda: gp.unit_cube(8),
+    ],
+)
+def test_affine_membership_is_the_broadcast_formula_bit_for_bit(make):
+    # the base's boundary points, mapped: the last bits of (y - shift) M^-T decide
+    base = make()
+    d = base.dim
+    rng = np.random.default_rng(52 + d)
+    matrix = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+    body = gp.AffineImage(base, matrix, rng.normal(size=d))
+    direction = rng.normal(size=d)
+    on = _boundary_points(base, 9) @ matrix.T + body.shift
+    pts = np.vstack([_ulp_shell(on, direction / np.linalg.norm(direction)), on])
+
+    def reference(x):
+        return base.contains_batch((x - body.shift) @ body.inverse.T)
+
+    _assert_masks_match(body.contains_batch, reference, pts, d)
+
+
 # ---------------------------------------------------------------------------
 # polygons
 
@@ -399,6 +463,14 @@ def test_thin_cap_volume_keeps_relative_precision(t, want):
     e1 = [1.0] + [0.0] * 7
     cap = gp.intersect_halfspace(gp.Ball(np.zeros(8), 1.0), gp.Halfspace.through(e1, t))
     assert math.isclose(cap.volume(), want, rel_tol=1e-12)
+
+
+def test_thin_slab_at_the_bottom_keeps_relative_precision():
+    # s in [-1, -0.9999]: the mirror image of the cap x_1 >= 0.9999 above
+    e1 = np.array([1.0] + [0.0] * 7)
+    low = gp.Cut(gp.Ball(np.zeros(8), 1.0), gp.Halfspace.through(-e1, 0.9999))
+    slab = gp.Cut(low, gp.Halfspace.through(e1, -1.5))
+    assert math.isclose(slab.volume(), 1.187710479746582935028972e-17, rel_tol=1e-14)
 
 
 def test_slab_volume_from_two_parallel_cuts():

@@ -1,7 +1,12 @@
 """Import structure of the package: geomprob modules import each other at
-module level only, and the module import graph has no cycle."""
+module level only, the module import graph has no cycle, and SciPy's heavy
+subpackages load on first use."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "geomprob"
@@ -93,3 +98,14 @@ def test_cli_defines_no_experiment():
         and not (node.name in ("main", "build_parser") or node.name.startswith(("run_", "_")))
     ]
     assert found == []
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # linprog and ConvexHull are imported by the functions that use them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    script = "import json, sys, geomprob; print(json.dumps(sorted(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    loaded = set(json.loads(run.stdout))
+    assert "geomprob" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.integrate", "scipy.spatial"}

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import geomprob as gp
+from geomprob import derivatives, sampling
+from geomprob.report import hit_or_miss
 from geomprob.sampling import REJECTION_BATCH, _reject, _rejection_sample, _slice_frame
 
 N_MOMENT = 200000
@@ -370,3 +372,133 @@ def test_base_rejection_draws_few_proposals_at_high_acceptance(monkeypatch):
     monkeypatch.undo()
     assert n <= proposals <= 1.2 * n + 1024
     assert body.contains_batch(pts).all()
+
+
+# ---------------------------------------------------------------------------
+# the rejection kernels against their broadcast and boolean-mask forms, bit for bit
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_box_uniform_is_the_broadcast_formula_bit_for_bit(d):
+    # d <= 4 scales and shifts column by column, wider boxes broadcast
+    rng = np.random.default_rng(40 + d)
+    lo = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, size=d)
+    hi = lo + rng.random(d) * 10.0 ** rng.integers(-3, 4, size=d)
+    box = gp.BoundingBox(lo, hi)
+    for m in (0, 1, 1023, 4096):
+        got = box.uniform(gp.SampleStream(41, d), m)
+        want = lo + gp.SampleStream(41, d).uniform((m, d)) * (hi - lo)
+        assert got.shape == (m, d) and got.flags.c_contiguous
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def _reject_reference(n, d, propose, accept, round_size):
+    """The first n accepted proposals, gathered by boolean masks and slices."""
+    out = np.empty((n, d))
+    got = tried = kept = 0
+    while got < n:
+        m = round_size(n - got, tried, kept)
+        pts = propose(m)
+        ok = accept(pts)
+        k = int(ok.sum())
+        tried += m
+        kept += k
+        take = min(k, n - got)
+        out[got : got + take] = pts[ok][:take]
+        got += take
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.integers(0, 1500),
+    d=st.integers(1, 8),
+    rate=st.floats(0.1, 1.0),
+    size=st.sampled_from([1, 7, 1024]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_reject_gathers_the_boolean_mask_rows(n, d, rate, size, seed):
+    """Forced round sizes, and masks drawn with the points, give the rows the
+    boolean-mask gather gives, bit for bit, including rounds that keep nothing."""
+
+    def run(kernel):
+        stream = gp.SampleStream(seed, 5)
+        return kernel(n, d, lambda m: stream.uniform((m, d)), lambda pts: pts[:, 0] < rate, lambda *_: size)
+
+    got = run(lambda n, d, propose, accept, round_size: _reject(n, d, propose, accept, "", round_size))
+    want = run(_reject_reference)
+    assert got.shape == (n, d) and got.flags.c_contiguous
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _slice_measure_one_draw(stream, body, v, t, n):
+    """slice_measure from one draw of all n proposals, as it was before chunking."""
+    basis, box, anchor = _slice_frame(body, v, t)
+    ok = body.contains_batch(anchor + box.uniform(stream, n) @ basis)
+    return hit_or_miss(float(ok.mean()), n, box.volume())
+
+
+@pytest.mark.parametrize(
+    "make, v, t",
+    [
+        (lambda: gp.half_ball(3), [1.0, 0.4, -0.3], 0.2),
+        (lambda: gp.isotropic_simplex(3), [1.0, 0.4, -0.3], 0.3),
+        (lambda: gp.half_ball(4), [1.0, 0.0, 0.0, 0.0], 0.1),
+    ],
+)
+def test_chunked_slice_measure_is_the_one_draw_estimate(make, v, t):
+    body = make()
+    for n in (1, REJECTION_BATCH, REJECTION_BATCH + 1, REJECTION_BATCH + 3, 200_000):
+        got = gp.slice_measure(gp.SampleStream(42, n), body, v, t, n)
+        want = _slice_measure_one_draw(gp.SampleStream(42, n), body, v, t, n)
+        assert (got.mean, got.stderr, got.n) == (want.mean, want.stderr, want.n), n
+
+
+def test_slice_frame_is_kept_for_its_plane_only():
+    body = gp.isotropic_simplex(3)
+    v = np.array([1.0, 0.4, -0.3])
+    for t in (0.3, -0.2, 0.3):
+        basis, box, anchor = _slice_frame(body, v, t)
+        fresh = _slice_frame(gp.isotropic_simplex(3), v, t)
+        for got, want in zip((basis, box.lo, box.hi, anchor), (fresh[0], fresh[1].lo, fresh[1].hi, fresh[2])):
+            assert np.array_equal(_bits(got), _bits(want))
+    assert _slice_frame(body, 2.0 * v, 0.3) is _slice_frame(body, v, 0.3)
+
+
+def _crofton_on_a_polytope():
+    fam = gp.cut_family(gp.isotropic_simplex(3), [1.0, 0.4, -0.3])
+    est = gp.crofton_derivative_rhs(fam, 0.1, gp.sf_coordinate_sum(), 4096, seed=43)
+    return est.mean, est.stderr, est.n
+
+
+def test_derivative_formula_builds_its_slice_frame_once(monkeypatch):
+    calls = {"frame": 0, "slice_measure": 0, "sample_slice": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sampling, "_exact_slice_frame", counted("frame", sampling._exact_slice_frame))
+    # both public slice functions are still called, so a tracer sees both spans
+    monkeypatch.setattr(derivatives, "slice_measure", counted("slice_measure", derivatives.slice_measure))
+    monkeypatch.setattr(derivatives, "sample_slice", counted("sample_slice", derivatives.sample_slice))
+    kept = _crofton_on_a_polytope()
+    assert calls == {"frame": 1, "slice_measure": 1, "sample_slice": 1}
+    monkeypatch.undo()
+
+    # with the frame built afresh on every call, the estimate keeps every bit
+    slice_frame = sampling._slice_frame
+
+    def fresh(body, v, t):
+        vars(body).pop("_slice_frame", None)
+        return slice_frame(body, v, t)
+
+    monkeypatch.setattr(sampling, "_slice_frame", fresh)
+    assert _crofton_on_a_polytope() == kept

@@ -50,6 +50,22 @@ def test_profile_area_matches_polygon_for_random_inputs():
         assert math.isclose(prof.area(), poly.area(), rel_tol=1e-10)
 
 
+def test_profile_area_is_scipy_trapezoid_bit_for_bit():
+    from scipy.integrate import trapezoid
+
+    polys = [
+        (gp.Polygon2D([[0, 0], [1, 0], [1, 1], [0, 1]]), 0.0),
+        (gp.Polygon2D(DIAMOND), 0.0),
+        (gp.Polygon2D([[0, 0], [2, 0], [0, 1]]), math.pi / 2),
+    ]
+    for i in range(10):
+        angle = float(gp.SampleStream(61, i).uniform(1)[0]) * math.pi
+        polys.append((gp.random_convex_polygon(gp.SampleStream(60, i)), angle))
+    for poly, angle in polys:
+        prof = gp.chord_profile(poly, angle)
+        assert prof.area() == float(trapezoid(prof.length, prof.breakpoints))
+
+
 # ---------------------------------------------------------------------------
 # Steiner symmetrization
 
