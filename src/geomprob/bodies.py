@@ -149,13 +149,21 @@ class BoundingBox:
     def uniform(self, stream, m: int) -> np.ndarray:
         """m points uniform in the box, from one (m, dim) draw of ``stream.uniform``.
 
-        Scaled and shifted in place, column by column up to COLUMN_DIM_MAX
-        (``_rowwise``): u * (hi - lo) + lo is the same IEEE result as
-        lo + u * (hi - lo).
+        Scaled and shifted in place: u * (hi - lo) + lo is the same IEEE
+        result as lo + u * (hi - lo). Up to COLUMN_DIM_MAX columns each
+        column takes both ops in turn, as in ``_rowwise``; wider boxes
+        broadcast.
         """
         u = stream.uniform((m, self.dim))
-        _rowwise(np.multiply, u, self._widths, out=u)
-        _rowwise(np.add, u, self.lo, out=u)
+        w, lo = self._widths, self.lo
+        if self.dim > COLUMN_DIM_MAX:
+            u *= w
+            u += lo
+            return u
+        for j in range(self.dim):
+            c = u[:, j]
+            c *= w[j]
+            c += lo[j]
         return u
 
 
