@@ -10,11 +10,12 @@ sides run one after the other, ``perfbench/run.py --workload W --seed S
 order alternates from there.
 
 Every run's last standard-output line, the benchmark's JSON result, is
-appended to ``--out`` with the side, revision, seed and order. At the end the
-script prints, for each end-to-end metric that ``BENCHMARK.json`` declares,
-the parent's and the head's median and quartiles, the head/parent ratio of
-the medians, the parent's interquartile range relative to its median, and in
-how many pairs the head was better (ties count for neither side).
+appended to ``--out`` (by default ``runs.jsonl`` in the work directory)
+with the side, revision, seed and order. At the end the script prints, for
+each end-to-end metric that ``BENCHMARK.json`` declares, the parent's and
+the head's median and quartiles, the head/parent ratio of the medians, the
+parent's interquartile range relative to its median, and in how many pairs
+the head was better (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -93,15 +94,17 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--head", default="HEAD")
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", type=Path, help="JSON-lines file that every run's result is appended to")
+    parser.add_argument("--out", type=Path, help="JSON-lines file that every run's result is appended to "
+                        "(default: runs.jsonl in the work directory)")
     parser.add_argument("--workdir", type=Path, help="directory for the two exports (default: a new temporary one)")
     args = parser.parse_args(argv)
 
     work = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {"parent": work / "parent", "head": work / "head"}
     shas = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
+    out = args.out or work / "runs.jsonl"
     declared = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
-    print(f"parent {shas['parent'][:12]}  head {shas['head'][:12]}  workload {args.workload}  in {work}", flush=True)
+    print(f"parent {shas['parent'][:12]}  head {shas['head'][:12]}  workload {args.workload}  runs in {out}", flush=True)
 
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -109,11 +112,10 @@ def main(argv=None) -> int:
         results = {}
         for position, side in enumerate(order):
             results[side] = run_once(trees[side], args.workload, seed, args.seconds)
-            if args.out:
-                record = {"side": side, "rev": shas[side], "workload": args.workload, "seed": seed,
-                          "position": position, "seconds": args.seconds, "result": results[side]}
-                with args.out.open("a") as f:
-                    f.write(json.dumps(record) + "\n")
+            record = {"side": side, "rev": shas[side], "workload": args.workload, "seed": seed,
+                      "position": position, "seconds": args.seconds, "result": results[side]}
+            with out.open("a") as f:
+                f.write(json.dumps(record) + "\n")
         pairs.append((results["parent"], results["head"]))
         wall = {side: results[side]["metrics"]["wall_ref"]["value"] for side in order}
         print(f"seed {seed} ({order[0]} first): parent {wall['parent']:.1f}  head {wall['head']:.1f}  "
