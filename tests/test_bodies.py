@@ -220,7 +220,7 @@ def _assert_masks_match(contains, reference, pts, d):
 
 @pytest.mark.parametrize("d", range(1, DIM_CAP + 1))
 def test_ball_membership_is_the_broadcast_formula_bit_for_bit(d):
-    # d <= 4 subtracts the center column by column, wider balls broadcast
+    # (m, d) points subtract the center column by column, other ranks broadcast
     rng = np.random.default_rng(50 + d)
     ball = gp.Ball(rng.normal(size=d), 1.7)
     u = rng.normal(size=(64, d))
@@ -259,6 +259,24 @@ def test_affine_membership_is_the_broadcast_formula_bit_for_bit(make):
         return base.contains_batch((x - body.shift) @ body.inverse.T)
 
     _assert_masks_match(body.contains_batch, reference, pts, d)
+
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gp.Ball(np.zeros(3), 1.0),
+        lambda: gp.Ball(np.zeros(4), 1.0),
+        lambda: gp.isotropic_half_ball(3),
+        lambda: gp.AffineImage(gp.unit_cube(4), 2.0 * np.eye(4), np.ones(4)),
+    ],
+)
+def test_membership_of_points_of_the_wrong_width_raises(make):
+    # widths that do not broadcast against the body's (a width of 1 would)
+    body = make()
+    for width in (body.dim - 1, body.dim + 1):
+        with pytest.raises(ValueError):
+            body.contains_batch(np.zeros((5, width)))
 
 
 # ---------------------------------------------------------------------------

@@ -384,7 +384,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_box_uniform_is_the_broadcast_formula_bit_for_bit(d):
-    # d <= 4 scales and shifts column by column, wider boxes broadcast
+    # each column is scaled and shifted in place, at every d
     rng = np.random.default_rng(40 + d)
     lo = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, size=d)
     hi = lo + rng.random(d) * 10.0 ** rng.integers(-3, 4, size=d)
