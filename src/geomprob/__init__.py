@@ -37,7 +37,6 @@ from .derivatives import (
     counterexample_derivative_test,
     crofton_derivative_rhs,
     cut_family,
-    det_cov_increase,
     detcov_counterexample,
     detcov_derivative_rhs,
     finite_difference,
@@ -62,6 +61,7 @@ from .estimators import (
     batch_simplex_volumes,
     covariance_estimate,
     det_cov_estimate,
+    det_cov_increase,
     expectation_estimate,
     isotropic_constant_estimate,
     isotropic_transform,

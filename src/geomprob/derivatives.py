@@ -24,6 +24,7 @@ from .bodies import (
     ConvexBody,
     HalfBallCone,
     Halfspace,
+    _unit,
     box_body,
     intersect_halfspace,
     regular_simplex,
@@ -33,19 +34,18 @@ from .bodies import (
 from .errors import DimensionError, NonIsotropicBodyError
 from .estimators import (
     BATCH_COUNT,
-    _batch_size,
-    _jackknife,
-    _pooled_dets,
     _resolve_stream,
     batch_simplex_volumes,
     covariance_estimate,
+    det_cov_increase,
+    expectation_estimate,
     isotropic_transform,
     moment_estimate,
     pinned_moment_estimate,
     volume_with_stderr,
 )
 from .report import ExperimentReport, MomentEstimate, mean_stderr
-from .sampling import SampleStream, sample_body, sample_slice, slice_measure
+from .sampling import SampleStream, sample_slice, slice_measure
 
 CUT_ISOTROPY_TOL = 0.05
 # one-sided gate, in standard errors, of the experiments' verdicts
@@ -68,11 +68,7 @@ class CutFamily:
     b: float
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-300:
-            raise ValueError("cut direction must be nonzero")
-        object.__setattr__(self, "v", v / norm)
+        object.__setattr__(self, "v", _unit(self.v))
         if not self.a < self.b:
             raise ValueError(f"support interval is empty: [{self.a}, {self.b}]")
 
@@ -127,19 +123,32 @@ def sf_simplex_volume(d: int) -> SymmetricFunction:
     return SymmetricFunction("simplexvol", d + 1, batch_simplex_volumes)
 
 
-def _slice_rate(q, g, g_se, smeas: MomentEstimate, vol, vol_se, n) -> MomentEstimate:
-    """q g S / V for slice measure S and volume V, with its delta-method stderr.
+def _cut_rate(
+    fam: CutFamily, kt: ConvexBody, t: float, q: int, integrand: Callable[[], MomentEstimate], n: int,
+    stream: SampleStream,
+) -> MomentEstimate:
+    """q g S / V at the slice {<v, x> = t} of K_t, with its delta-method stderr.
+
+    S is the slice measure (substream 2) and V the volume of K_t (substream
+    3). ``integrand()`` gives g with its stderr and the returned n; it is
+    called only when S > 0. A tangent or empty slice gives exactly 0.
 
     q stays a separate factor inside each term: regrouping it, as in (q g_se)^2,
     changes the last bits of the result.
     """
-    value = q * g * smeas.mean / vol
+    smeas = slice_measure(stream.substream(2), kt, fam.v, t, n)
+    if smeas.mean == 0.0:
+        # tangent or empty slice: the cut removes nothing to first order
+        return MomentEstimate(0.0, 0.0, n)
+    g = integrand()
+    vol, vol_se = volume_with_stderr(kt, n, stream.substream(3))
+    value = q * g.mean * smeas.mean / vol
     var = (
-        (q * smeas.mean / vol) ** 2 * g_se**2
-        + (q * g / vol) ** 2 * smeas.stderr**2
-        + (q * g * smeas.mean / vol**2) ** 2 * vol_se**2
+        (q * smeas.mean / vol) ** 2 * g.stderr**2
+        + (q * g.mean / vol) ** 2 * smeas.stderr**2
+        + (q * g.mean * smeas.mean / vol**2) ** 2 * vol_se**2
     )
-    return MomentEstimate(value, math.sqrt(var), n)
+    return MomentEstimate(value, math.sqrt(var), g.n)
 
 
 def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: int, seed=0) -> MomentEstimate:
@@ -150,33 +159,26 @@ def crofton_derivative_rhs(fam: CutFamily, t: float, f: SymmetricFunction, n: in
     interior t. The two expectations share the X_2..X_q draws, so the
     difference cancels bitwise for constant f.
 
-    Batch b draws its body points from substream b of substream 0. The
-    slice points of all batches come from one ``sample_slice`` call on
+    The differences are one ``expectation_estimate`` on substream 0. The
+    slice points of all its batches come from one ``sample_slice`` call on
     substream 1, which builds the slice frame once; batch b takes rows
     b m to (b + 1) m of it.
     """
     stream = _resolve_stream(seed)
     kt = fam.cut(t)
-    d = kt.dim
-    smeas = slice_measure(stream.substream(2), kt, fam.v, t, n)
-    if smeas.mean == 0.0:
-        # tangent or empty slice: the cut removes nothing to first order
-        return MomentEstimate(0.0, 0.0, n)
-    q = f.arity
-    m = _batch_size(n)
-    body_root = stream.substream(0)
-    slice_pts = sample_slice(stream.substream(1), kt, fam.v, t, m * BATCH_COUNT)
-    deltas = np.empty(BATCH_COUNT)
-    for b in range(BATCH_COUNT):
-        pts = sample_body(body_root.substream(b), kt, m * q).reshape(m, q, d)
-        full = f.eval_batch(pts)
-        cond_pts = pts.copy()
-        cond_pts[:, 0, :] = slice_pts[b * m : (b + 1) * m]
-        cond = f.eval_batch(cond_pts)
-        deltas[b] = float(np.mean(full - cond))
-    dbar, dse = mean_stderr(deltas)
-    vol, vol_se = volume_with_stderr(kt, n, stream.substream(3))
-    return _slice_rate(q, dbar, dse, smeas, vol, vol_se, m * BATCH_COUNT)
+
+    def delta() -> MomentEstimate:
+        slice_pts = sample_slice(stream.substream(1), kt, fam.v, t, n - n % BATCH_COUNT)
+        slice_rows = iter(np.split(slice_pts, BATCH_COUNT))
+
+        def fn(pts):
+            cond_pts = pts.copy()
+            cond_pts[:, 0, :] = next(slice_rows)
+            return f.eval_batch(pts) - f.eval_batch(cond_pts)
+
+        return expectation_estimate(kt, fn, f.arity, n, stream.substream(0))
+
+    return _cut_rate(fam, kt, t, f.arity, delta, n, stream)
 
 
 def detcov_derivative_rhs(fam: CutFamily, t: float, n: int, seed=0) -> MomentEstimate:
@@ -189,7 +191,6 @@ def detcov_derivative_rhs(fam: CutFamily, t: float, n: int, seed=0) -> MomentEst
     """
     stream = _resolve_stream(seed)
     kt = fam.cut(t)
-    d = kt.dim
     cov = covariance_estimate(kt, max(n // 4, 64 * 64), stream.substream(0))
     dev = cov.max_deviation_from_identity()
     if dev > CUT_ISOTROPY_TOL:
@@ -197,15 +198,13 @@ def detcov_derivative_rhs(fam: CutFamily, t: float, n: int, seed=0) -> MomentEst
             f"covariance of the cut body deviates from identity by {dev:.4f} "
             f"(tolerance {CUT_ISOTROPY_TOL}); apply isotropic_transform first"
         )
-    smeas = slice_measure(stream.substream(2), kt, fam.v, t, n)
-    if smeas.mean == 0.0:
-        # tangent or empty slice: the cut removes nothing to first order
-        return MomentEstimate(0.0, 0.0, n)
-    ns = max(10**4, n // 8)
-    sp = sample_slice(stream.substream(1), kt, fam.v, t, ns)
-    msq, msq_se = mean_stderr(np.sum(sp**2, axis=1))
-    vol, vol_se = volume_with_stderr(kt, n, stream.substream(3))
-    return _slice_rate(1, d - msq, msq_se, smeas, vol, vol_se, n)
+
+    def mean_square_gap() -> MomentEstimate:
+        sp = sample_slice(stream.substream(1), kt, fam.v, t, max(10**4, n // 8))
+        msq, msq_se = mean_stderr(np.sum(sp**2, axis=1))
+        return MomentEstimate(kt.dim - msq, msq_se, n)
+
+    return _cut_rate(fam, kt, t, 1, mean_square_gap, n, stream)
 
 
 def _check_step(fam: CutFamily, t: float, h: float) -> None:
@@ -216,6 +215,11 @@ def _check_step(fam: CutFamily, t: float, h: float) -> None:
         raise ValueError(f"t + h = {t + h} exceeds the support maximum {fam.b}")
 
 
+def _quotient(lo: MomentEstimate, hi: MomentEstimate, h: float) -> tuple[float, float]:
+    """(hi - lo) / h for independent estimates, and its standard error."""
+    return (hi.mean - lo.mean) / h, math.hypot(lo.stderr, hi.stderr) / h
+
+
 def finite_difference(
     fam: CutFamily, t: float, h: float, statistic: Statistic, n: int, seed=0
 ) -> MomentEstimate:
@@ -224,7 +228,7 @@ def finite_difference(
     stream = _resolve_stream(seed)
     lo = statistic(fam.cut(t), n, stream.substream(0))
     hi = statistic(fam.cut(t + h), n, stream.substream(1))
-    return MomentEstimate((hi.mean - lo.mean) / h, math.hypot(lo.stderr, hi.stderr) / h, lo.n + hi.n)
+    return MomentEstimate(*_quotient(lo, hi, h), lo.n + hi.n)
 
 
 def h_refinement_report(
@@ -242,47 +246,10 @@ def h_refinement_report(
     step = h
     for level in range(3):
         hi = statistic(fam.cut(t + step), n, stream.substream(1 + level))
-        out.append(
-            {
-                "h": step,
-                "fd": (hi.mean - base.mean) / step,
-                "stderr": math.hypot(base.stderr, hi.stderr) / step,
-            }
-        )
+        fd, stderr = _quotient(base, hi, step)
+        out.append({"h": step, "fd": fd, "stderr": stderr})
         step /= 2.0
     return out
-
-
-def det_cov_increase(body: ConvexBody, h: Halfspace, n: int, seed=0) -> MomentEstimate:
-    """det A(body cut by h) - det A(body) from one shared sample.
-
-    Points of the body falling inside the halfspace are uniform on the cut
-    body, so both determinants come from the same draws and the difference
-    is estimated with only the cut-off points contributing noise. Standard
-    error by delete-one-batch jackknife of the difference.
-    """
-    stream = _resolve_stream(seed)
-    d = body.dim
-    m = _batch_size(n)
-    s1 = np.empty((BATCH_COUNT, d))
-    s2 = np.empty((BATCH_COUNT, d, d))
-    c1 = np.empty((BATCH_COUNT, d))
-    c2 = np.empty((BATCH_COUNT, d, d))
-    counts = np.empty(BATCH_COUNT)
-    for b in range(BATCH_COUNT):
-        pts = sample_body(stream.substream(b), body, m)
-        s1[b] = pts.sum(axis=0)
-        s2[b] = pts.T @ pts
-        cut_pts = pts[h.contains_batch(pts)]
-        c1[b] = cut_pts.sum(axis=0)
-        c2[b] = cut_pts.T @ cut_pts
-        counts[b] = cut_pts.shape[0]
-    if counts.sum() < BATCH_COUNT * 2:
-        raise NonIsotropicBodyError("cut retains too few points for a covariance estimate")
-    cut_full, cut_loo = _pooled_dets(c1, c2, counts)
-    all_full, all_loo = _pooled_dets(s1, s2, np.full(BATCH_COUNT, float(m)))
-    value, stderr = _jackknife(cut_full - all_full, cut_loo - all_loo)
-    return MomentEstimate(value, stderr, m * BATCH_COUNT)
 
 
 def counterexample_derivative_test(d: int, eps: float, n: int, seed=0) -> ExperimentReport:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import ConvexBody, affine_image, bounding_box
-from .errors import DegenerateBodyError, SingularTransformError
+from .bodies import ConvexBody, Halfspace, affine_image, bounding_box
+from .errors import DegenerateBodyError, NonIsotropicBodyError, SingularTransformError
 from .report import MomentEstimate, hit_or_miss, mean_stderr
 from .sampling import SampleStream, sample_body
 
@@ -49,11 +49,12 @@ def _resolve_stream(seed) -> SampleStream:
     return SampleStream(int(seed), 0)
 
 
-def _batch_size(n: int) -> int:
+def _batches(n: int, stream: SampleStream, fn) -> tuple[list, int]:
+    """The batch layout of every estimator: fn(substream b, m) for b in batch order, and m = n // BATCH_COUNT."""
     m = n // BATCH_COUNT
     if m < 1:
         raise ValueError(f"need at least {BATCH_COUNT} samples, got {n}")
-    return m
+    return [fn(stream.substream(b), m) for b in range(BATCH_COUNT)], m
 
 
 def simplex_volume(points) -> float:
@@ -147,16 +148,17 @@ def batch_pinned_volumes(x: np.ndarray, points: np.ndarray) -> np.ndarray:
 def expectation_estimate(body: ConvexBody, fn, arity: int, n: int, seed) -> MomentEstimate:
     """Batch-means estimate of E fn(X_1..X_arity) for iid uniform points.
 
-    ``fn`` maps an (m, arity, d) array of point tuples to (m,) values.
+    ``fn`` maps an (m, arity, d) array of point tuples to (m,) values. It is
+    called once per batch, in batch order, with the m tuples of that batch.
     """
     stream = _resolve_stream(seed)
-    m = _batch_size(n)
     d = body.dim
-    means = np.empty(BATCH_COUNT)
-    for b in range(BATCH_COUNT):
-        pts = sample_body(stream.substream(b), body, m * arity).reshape(m, arity, d)
-        means[b] = float(np.mean(fn(pts)))
-    return MomentEstimate(*mean_stderr(means), m * BATCH_COUNT)
+
+    def batch_mean(sub: SampleStream, m: int) -> float:
+        return float(np.mean(fn(sample_body(sub, body, m * arity).reshape(m, arity, d))))
+
+    means, m = _batches(n, stream, batch_mean)
+    return MomentEstimate(*mean_stderr(np.array(means)), m * BATCH_COUNT)
 
 
 def moment_estimate(body: ConvexBody, k: int = 1, n: int = 10**6, seed=0) -> MomentEstimate:
@@ -187,53 +189,56 @@ def pinned_moment_estimate(body: ConvexBody, x, k: int = 1, n: int = 10**6, seed
     return expectation_estimate(body, fn, body.dim, n, seed)
 
 
-def _moment_sums(body: ConvexBody, n: int, stream: SampleStream):
-    """Per-batch first and second moment sums, the shared covariance kernel."""
-    m = _batch_size(n)
-    d = body.dim
-    s1 = np.empty((BATCH_COUNT, d))
-    s2 = np.empty((BATCH_COUNT, d, d))
-    for b in range(BATCH_COUNT):
-        pts = sample_body(stream.substream(b), body, m)
-        s1[b] = pts.sum(axis=0)
-        s2[b] = pts.T @ pts
-    return s1, s2, m
+def _moment_sums(body: ConvexBody, n: int, stream: SampleStream, halfspace: Halfspace | None = None):
+    """Per-batch sums s1 (B, d) of x and s2 (B, d, d) of x x^T, and counts (B,): the covariance kernel.
 
-
-def _pooled_dets(s1: np.ndarray, s2: np.ndarray, counts: np.ndarray):
-    """det A of all batches pooled, and of each delete-one-batch pool, from one det call.
-
-    s1 (B, d) and s2 (B, d, d) hold per-batch sums of x and x x^T over counts (B,) points.
+    Given a halfspace, the same draws also give these three over each batch's
+    points inside it.
     """
-    t1, t2, total = s1.sum(axis=0), s2.sum(axis=0), counts.sum()
-    n = np.concatenate([[total], total - counts])[:, None]
-    mu = np.concatenate([t1[None], t1 - s1]) / n
-    cov = np.concatenate([t2[None], t2 - s2]) / n[..., None] - mu[:, :, None] * mu[:, None, :]
-    dets = np.linalg.det(cov)
-    return float(dets[0]), dets[1:]
+
+    def sums(pts: np.ndarray) -> tuple:
+        return pts.sum(axis=0), pts.T @ pts, float(pts.shape[0])
+
+    def batch(sub: SampleStream, m: int) -> tuple:
+        pts = sample_body(sub, body, m)
+        if halfspace is None:
+            return sums(pts)
+        return sums(pts) + sums(pts[halfspace.contains_batch(pts)])
+
+    per_batch, _ = _batches(n, stream, batch)
+    return tuple(np.array(column) for column in zip(*per_batch))
 
 
-def _jackknife(full: float, loo: np.ndarray) -> tuple[float, float]:
-    """Delete-one-batch jackknife: (bias-corrected value, standard error)."""
+def _covariances(s1: np.ndarray, s2: np.ndarray, counts: np.ndarray):
+    """Centroids (P, d) and population covariances (P, d, d) of P point pools from their sums."""
+    mu = s1 / counts[:, None]
+    return mu, s2 / counts[:, None, None] - mu[:, :, None] * mu[:, None, :]
+
+
+def _jackknife(values: np.ndarray) -> tuple[float, float]:
+    """Delete-one-batch jackknife of values[0] from the delete-one values[1:]: (bias-corrected value, stderr)."""
+    full, loo = float(values[0]), values[1:]
     jack_mean = float(loo.mean())
     value = BATCH_COUNT * full - (BATCH_COUNT - 1) * jack_mean
     stderr = math.sqrt((BATCH_COUNT - 1) / BATCH_COUNT * float(np.sum((loo - jack_mean) ** 2)))
     return value, stderr
 
 
+def _pooled_dets(s1: np.ndarray, s2: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """det A of all batches pooled (entry 0) and of each delete-one-batch pool (entry 1 + b), in one det call."""
+    pools = (np.concatenate([x.sum(axis=0, keepdims=True), x.sum(axis=0) - x]) for x in (s1, s2, counts))
+    return np.linalg.det(_covariances(*pools)[1])
+
+
 def covariance_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> CovarianceEstimate:
     """Centroid and covariance E[(X-mu)(X-mu)^T], population (1/n) normalized."""
-    stream = _resolve_stream(seed)
-    s1, s2, m = _moment_sums(body, n, stream)
-    total = m * BATCH_COUNT
-    mu = s1.sum(axis=0) / total
-    cov = s2.sum(axis=0) / total - np.outer(mu, mu)
+    s1, s2, counts = _moment_sums(body, n, _resolve_stream(seed))
+    pooled = (x.sum(axis=0, keepdims=True) for x in (s1, s2, counts))
+    mu, cov = (stack[0] for stack in _covariances(*pooled))
     cov = 0.5 * (cov + cov.T)
-    mu_b = s1 / m
-    cov_b = s2 / m - np.einsum("bi,bj->bij", mu_b, mu_b)
-    entry_stderr = cov_b.std(axis=0, ddof=1) / math.sqrt(BATCH_COUNT)
+    entry_stderr = _covariances(s1, s2, counts)[1].std(axis=0, ddof=1) / math.sqrt(BATCH_COUNT)
     return CovarianceEstimate(
-        centroid=mu, matrix=cov, n=total, stderr_scale=float(entry_stderr.max())
+        centroid=mu, matrix=cov, n=int(counts.sum()), stderr_scale=float(entry_stderr.max())
     )
 
 
@@ -243,24 +248,37 @@ def det_cov_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate
     The jackknife both corrects the O(1/n) plug-in bias of det applied to
     an estimated matrix and prices the nonlinearity into the stderr.
     """
-    stream = _resolve_stream(seed)
-    s1, s2, m = _moment_sums(body, n, stream)
-    value, stderr = _jackknife(*_pooled_dets(s1, s2, np.full(BATCH_COUNT, float(m))))
-    return MomentEstimate(value, stderr, m * BATCH_COUNT)
+    s1, s2, counts = _moment_sums(body, n, _resolve_stream(seed))
+    return MomentEstimate(*_jackknife(_pooled_dets(s1, s2, counts)), int(counts.sum()))
+
+
+def det_cov_increase(body: ConvexBody, h: Halfspace, n: int, seed=0) -> MomentEstimate:
+    """det A(body cut by h) - det A(body) from one shared sample.
+
+    Points of the body falling inside the halfspace are uniform on the cut
+    body, so both determinants come from the same draws and the difference
+    is estimated with only the cut-off points contributing noise. Standard
+    error by delete-one-batch jackknife of the difference.
+    """
+    s1, s2, counts, c1, c2, cut_counts = _moment_sums(body, n, _resolve_stream(seed), h)
+    if cut_counts.sum() < BATCH_COUNT * 2:
+        raise NonIsotropicBodyError("cut retains too few points for a covariance estimate")
+    diff = _pooled_dets(c1, c2, cut_counts) - _pooled_dets(s1, s2, counts)
+    return MomentEstimate(*_jackknife(diff), int(counts.sum()))
 
 
 def volume_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate:
     """Rejection volume: bounding-box volume times acceptance, binomial stderr."""
-    stream = _resolve_stream(seed)
-    m = _batch_size(n)
     box = bounding_box(body)
     box_vol = box.volume()
     if box_vol <= 0:
         raise DegenerateBodyError("bounding box has zero volume")
-    rates = np.empty(BATCH_COUNT)
-    for b in range(BATCH_COUNT):
-        rates[b] = float(body.contains_batch(box.uniform(stream.substream(b), m)).mean())
-    return hit_or_miss(float(rates.mean()), m * BATCH_COUNT, box_vol)
+
+    def rate(sub: SampleStream, m: int) -> float:
+        return float(body.contains_batch(box.uniform(sub, m)).mean())
+
+    rates, m = _batches(n, _resolve_stream(seed), rate)
+    return hit_or_miss(float(np.array(rates).mean()), m * BATCH_COUNT, box_vol)
 
 
 def volume_with_stderr(body: ConvexBody, n: int, seed) -> tuple[float, float]:

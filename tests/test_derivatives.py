@@ -102,7 +102,8 @@ def test_support_interval_contains_sampled_extremes(name, monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (gp, gp.sampling, gp.derivatives, gp.estimators):
+    # derivatives draws body points only through the estimators
+    for module in (gp, gp.sampling, gp.estimators):
         monkeypatch.setattr(module, "sample_body", counting)
     intervals = np.array([gp.support_interval(body, v) for v in dirs])
     assert calls == []
@@ -131,6 +132,11 @@ def test_cut_family_rejects_a_zero_or_non_finite_direction(name, fill):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="direction must be nonzero and finite"):
             gp.cut_family(body, v)
+        # the constructor checks the direction itself, as in CutFamily(body, [nan, 1.0], 0, 1)
+        if fill != 0.0 and body.dim > 1:
+            v[-1] = 1.0
+        with pytest.raises(ValueError, match="direction must be nonzero and finite"):
+            gp.CutFamily(body, v, 0.0, 1.0)
 
 
 def test_cut_family_normalizes_and_cuts():

@@ -100,6 +100,36 @@ def test_cli_defines_no_experiment():
     assert found == []
 
 
+def _batch_loops(name: str) -> list[int]:
+    """Lines of the loops and comprehensions over range(BATCH_COUNT) in a module."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    return [
+        node.iter.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.iter, ast.Call)
+        and ast.unparse(node.iter) == "range(BATCH_COUNT)"
+    ]
+
+
+def test_the_batch_layout_has_one_owner():
+    # one loop draws the batches of every estimator; derivatives and symmetry2d
+    # compose public estimators and take none of the batch kernels
+    loops = {name: _batch_loops(name) for name in MODULES}
+    assert sum(len(lines) for lines in loops.values()) == 1
+    assert len(loops["estimators"]) == 1
+    for name in ("derivatives", "symmetry2d"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "estimators"
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert set(private) <= {"_resolve_stream"}, f"{name} imports {private}"
+
+
 def test_import_loads_no_heavy_scipy_subpackage():
     # linprog and ConvexHull are imported by the functions that use them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
