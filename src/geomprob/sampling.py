@@ -263,6 +263,11 @@ def _slab_sampler(ball: Ball, axis: np.ndarray, s_lo: float, s_hi: float):
     return fn
 
 
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"sample count must be nonnegative, got {n}")
+
+
 def sample_body(stream: SampleStream, body: ConvexBody, n: int) -> np.ndarray:
     """n points uniform in the body.
 
@@ -271,8 +276,7 @@ def sample_body(stream: SampleStream, body: ConvexBody, n: int) -> np.ndarray:
     A Cut whose base samples directly rejects from the base sampler rather
     than the box, which keeps acceptance high for thin caps.
     """
-    if n < 0:
-        raise ValueError(f"sample count must be nonnegative, got {n}")
+    _check_count(n)
     if n == 0:
         return np.empty((0, body.dim))
     direct = _direct_sampler(body)
@@ -322,6 +326,7 @@ def sample_slice(stream: SampleStream, body: ConvexBody, v, t: float, n: int) ->
     in one call. Raises DegenerateSliceError when the plane misses the body
     or the section has negligible (d-1)-volume.
     """
+    _check_count(n)
     try:
         basis, box, anchor = _slice_frame(body, v, t)
         if box.volume() <= 0:
@@ -399,8 +404,11 @@ def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int) -
     The hits are counted in chunks of REJECTION_BATCH proposals, each one
     ``box.uniform`` draw. The chunks take the stream's words in the order
     one draw of n would, so the estimate is the one-draw estimate, bit for
-    bit, while memory stays bounded at any n.
+    bit, while memory stays bounded at any n. n must be positive.
     """
+    _check_count(n)
+    if n == 0:
+        raise ValueError("sample count must be positive, got 0")
     try:
         basis, box, anchor = _slice_frame(body, v, t)
     except DegenerateBodyError:

@@ -163,6 +163,22 @@ def test_slice_measure_zero_beyond_support():
     assert est.mean == 0.0
 
 
+def test_slice_functions_check_the_sample_count():
+    ball, v = gp.Ball(np.zeros(2), 1.0), [1.0, 0.0]
+    for fn in (gp.sample_slice, gp.slice_measure):
+        with pytest.raises(ValueError, match="sample count must be nonnegative, got -3"):
+            fn(gp.SampleStream(29, 0), ball, v, 0.2, -3)
+    with pytest.raises(ValueError, match="sample count must be positive, got 0"):
+        gp.slice_measure(gp.SampleStream(29, 0), ball, v, 0.2, 0)
+    assert gp.sample_slice(gp.SampleStream(29, 0), ball, v, 0.2, 0).shape == (0, 2)
+    # the count is checked before any frame is built
+    fresh = gp.Ball(np.zeros(2), 1.0)
+    for fn in (gp.sample_slice, gp.slice_measure):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(gp.SampleStream(29, 0), fresh, v, 0.2, -3)
+    assert "_slice_frame" not in vars(fresh)
+
+
 def test_slice_at_a_polytope_vertex_is_degenerate():
     # the LP ends of a point section can cross by a rounding; the frame gives them zero width
     sim = gp.isotropic_simplex(3)
