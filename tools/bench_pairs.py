@@ -11,11 +11,16 @@ order alternates from there.
 
 Every run's last standard-output line, the benchmark's JSON result, is
 appended to ``--out`` (by default ``runs.jsonl`` in the work directory)
-with the side, revision, seed and order. At the end the script prints, for
-each end-to-end metric that ``BENCHMARK.json`` declares, the parent's and
-the head's median and quartiles, the head/parent ratio of the medians, the
-parent's interquartile range relative to its median, and in how many pairs
-the head was better (ties count for neither side).
+with the side, revision, seed and order, and with the info line the
+benchmark prints before it, which holds the output digest of the run's
+passes. For each seed the script prints whether the parent's and the
+head's digests are equal: a change that moves no output bit keeps them
+equal on every seed. At the end it prints, for each end-to-end metric that
+``BENCHMARK.json`` declares, the parent's and the head's median and
+quartiles, the head/parent ratio of the medians, the parent's
+interquartile range relative to its median, and in how many pairs the head
+was better (ties count for neither side); then in how many pairs the
+digests were equal.
 """
 
 from __future__ import annotations
@@ -47,14 +52,16 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in an exported tree; its last output line, parsed."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict | None]:
+    """One benchmark run in an exported tree: its last output line and its info line (the one with the digest), parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    parsed = [json.loads(line) for line in lines]
+    info = next((obj for obj in parsed[:-1] if isinstance(obj, dict) and "digest" in obj), None)
+    return parsed[-1], info
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -107,20 +114,27 @@ def main(argv=None) -> int:
     print(f"parent {shas['parent'][:12]}  head {shas['head'][:12]}  workload {args.workload}  runs in {out}", flush=True)
 
     pairs = []
+    equal_digests = 0
     for i, seed in enumerate(args.seeds):
         order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
-        results = {}
+        results, digests = {}, {}
         for position, side in enumerate(order):
-            results[side] = run_once(trees[side], args.workload, seed, args.seconds)
+            results[side], info = run_once(trees[side], args.workload, seed, args.seconds)
+            digests[side] = info and info.get("digest")
             record = {"side": side, "rev": shas[side], "workload": args.workload, "seed": seed,
-                      "position": position, "seconds": args.seconds, "result": results[side]}
+                      "position": position, "seconds": args.seconds, "info": info, "result": results[side]}
             with out.open("a") as f:
                 f.write(json.dumps(record) + "\n")
         pairs.append((results["parent"], results["head"]))
         wall = {side: results[side]["metrics"]["wall_ref"]["value"] for side in order}
+        same = digests["parent"] is not None and digests["parent"] == digests["head"]
+        equal_digests += same
         print(f"seed {seed} ({order[0]} first): parent {wall['parent']:.1f}  head {wall['head']:.1f}  "
-              f"ratio {wall['head'] / wall['parent']:.3f}", flush=True)
+              f"ratio {wall['head'] / wall['parent']:.3f}  digests {'equal' if same else 'DIFFER'} "
+              f"{str(digests['parent'])[:12]}/{str(digests['head'])[:12]}  "
+              f"correct {results['parent']['correct']}/{results['head']['correct']}", flush=True)
     print("\n".join(summarize(pairs, declared)))
+    print(f"digests equal {equal_digests}/{len(pairs)}")
     return 0
 
 
