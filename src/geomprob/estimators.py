@@ -49,12 +49,21 @@ def _resolve_stream(seed) -> SampleStream:
     return SampleStream(int(seed), 0)
 
 
-def _batches(n: int, stream: SampleStream, fn) -> tuple[list, int]:
-    """The batch layout of every estimator: fn(substream b, m) for b in batch order, and m = n // BATCH_COUNT."""
+def _batches(n: int, stream: SampleStream, draw, reduce) -> tuple[list, int]:
+    """The batch layout of every estimator: reduce(draw(substream b, m)) for b in batch order, and m = n // BATCH_COUNT.
+
+    A batch's draw stays alive until the next batch is drawn. Freed before
+    that, it lets glibc trim the heap after every batch and fault it back in
+    on the next draw, which made moment estimates at n = 160,000 15% slower.
+    """
     m = n // BATCH_COUNT
     if m < 1:
         raise ValueError(f"need at least {BATCH_COUNT} samples, got {n}")
-    return [fn(stream.substream(b), m) for b in range(BATCH_COUNT)], m
+    out = []
+    for b in range(BATCH_COUNT):
+        pts = draw(stream.substream(b), m)
+        out.append(reduce(pts))
+    return out, m
 
 
 def simplex_volume(points) -> float:
@@ -151,13 +160,12 @@ def expectation_estimate(body: ConvexBody, fn, arity: int, n: int, seed) -> Mome
     ``fn`` maps an (m, arity, d) array of point tuples to (m,) values. It is
     called once per batch, in batch order, with the m tuples of that batch.
     """
-    stream = _resolve_stream(seed)
     d = body.dim
 
-    def batch_mean(sub: SampleStream, m: int) -> float:
-        return float(np.mean(fn(sample_body(sub, body, m * arity).reshape(m, arity, d))))
+    def draw(sub: SampleStream, m: int) -> np.ndarray:
+        return sample_body(sub, body, m * arity).reshape(m, arity, d)
 
-    means, m = _batches(n, stream, batch_mean)
+    means, m = _batches(n, _resolve_stream(seed), draw, lambda pts: float(np.mean(fn(pts))))
     return MomentEstimate(*mean_stderr(np.array(means)), m * BATCH_COUNT)
 
 
@@ -199,13 +207,12 @@ def _moment_sums(body: ConvexBody, n: int, stream: SampleStream, halfspace: Half
     def sums(pts: np.ndarray) -> tuple:
         return pts.sum(axis=0), pts.T @ pts, float(pts.shape[0])
 
-    def batch(sub: SampleStream, m: int) -> tuple:
-        pts = sample_body(sub, body, m)
+    def batch_sums(pts: np.ndarray) -> tuple:
         if halfspace is None:
             return sums(pts)
         return sums(pts) + sums(pts[halfspace.contains_batch(pts)])
 
-    per_batch, _ = _batches(n, stream, batch)
+    per_batch, _ = _batches(n, stream, lambda sub, m: sample_body(sub, body, m), batch_sums)
     return tuple(np.array(column) for column in zip(*per_batch))
 
 
@@ -274,10 +281,7 @@ def volume_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate:
     if box_vol <= 0:
         raise DegenerateBodyError("bounding box has zero volume")
 
-    def rate(sub: SampleStream, m: int) -> float:
-        return float(body.contains_batch(box.uniform(sub, m)).mean())
-
-    rates, m = _batches(n, _resolve_stream(seed), rate)
+    rates, m = _batches(n, _resolve_stream(seed), box.uniform, lambda pts: float(body.contains_batch(pts).mean()))
     return hit_or_miss(float(np.array(rates).mean()), m * BATCH_COUNT, box_vol)
 
 

@@ -292,6 +292,11 @@ def test_h_refinement_errors_shrink_on_analytic_family():
 # shared-sample determinant increase
 
 
+def test_det_cov_increase_is_the_estimator():
+    # derivatives imports it, so a tracer that wraps derivatives.det_cov_increase wraps the estimator
+    assert gp.det_cov_increase is gp.derivatives.det_cov_increase is gp.estimators.det_cov_increase
+
+
 def test_det_cov_increase_noop_cut_is_exactly_zero():
     body = gp.isotropic_simplex(3)
     # halfspace keeps everything: the two covariance accumulations coincide

@@ -170,13 +170,9 @@ def test_slice_functions_check_the_sample_count():
             fn(gp.SampleStream(29, 0), ball, v, 0.2, -3)
     with pytest.raises(ValueError, match="sample count must be positive, got 0"):
         gp.slice_measure(gp.SampleStream(29, 0), ball, v, 0.2, 0)
+    # each count was checked before any frame was built
+    assert "_slice_frame" not in vars(ball)
     assert gp.sample_slice(gp.SampleStream(29, 0), ball, v, 0.2, 0).shape == (0, 2)
-    # the count is checked before any frame is built
-    fresh = gp.Ball(np.zeros(2), 1.0)
-    for fn in (gp.sample_slice, gp.slice_measure):
-        with pytest.raises(ValueError, match="nonnegative"):
-            fn(gp.SampleStream(29, 0), fresh, v, 0.2, -3)
-    assert "_slice_frame" not in vars(fresh)
 
 
 def test_slice_at_a_polytope_vertex_is_degenerate():
