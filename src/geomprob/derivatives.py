@@ -133,7 +133,7 @@ def _cut_rate(
     3). ``integrand()`` gives g with its stderr and the returned n; it is
     called only when S > 0. A tangent or empty slice gives exactly 0.
 
-    q stays a separate factor inside each term: regrouping it, as in (q g_se)^2,
+    q stays a separate factor inside each term: regrouping it, as in (q g.stderr)^2,
     changes the last bits of the result.
     """
     smeas = slice_measure(stream.substream(2), kt, fam.v, t, n)
