@@ -18,14 +18,12 @@ from .bodies import (
     body_from_json,
     bounding_box,
     box_body,
-    contains,
     half_ball,
     half_ball_moments,
     half_disk_polygon,
     intersect_halfspace,
     isotropic_half_ball,
     isotropic_simplex,
-    make_counterexample_pair,
     regular_simplex,
     regular_simplex_vertices,
     simplex_with_hull_point,
@@ -63,11 +61,9 @@ from .estimators import (
     det_cov_estimate,
     det_cov_increase,
     expectation_estimate,
-    isotropic_constant_estimate,
     isotropic_transform,
     moment_estimate,
     pinned_moment_estimate,
-    simplex_volume,
     volume_estimate,
     volume_with_stderr,
 )

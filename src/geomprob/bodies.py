@@ -715,11 +715,6 @@ def _canonicalize_polygon(v: np.ndarray) -> np.ndarray:
 # module-level operations
 
 
-def contains(body: ConvexBody, point) -> bool:
-    p = _as_vector(point, d=body.dim)
-    return bool(body.contains_batch(p[None, :])[0])
-
-
 def bounding_box(body: ConvexBody) -> BoundingBox:
     return body.box()
 
@@ -901,13 +896,6 @@ def affine_image(body: ConvexBody, matrix, shift) -> AffineImage:
     return AffineImage(body, m, s)
 
 
-def make_counterexample_pair(d: int, eps: float, delta: float) -> tuple[HalfBallCone, HalfBallCone]:
-    """Nested pair K subset L: L keeps the full cone, K truncates its tip."""
-    if not (0 < delta < eps):
-        raise InvalidBodyError(f"need 0 < delta < eps, got delta={delta!r}, eps={eps!r}")
-    return HalfBallCone(d, eps, delta), HalfBallCone(d, eps, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # constructors used by the experiments
 
@@ -1068,7 +1056,7 @@ def body_from_json(data) -> ConvexBody:
             _check_bound(poly)
             return poly
         if kind == "halfballcone":
-            return HalfBallCone(int(data["d"]), float(data["eps"]), float(data.get("delta", 0.0)))
+            return HalfBallCone(data["d"], float(data["eps"]), float(data.get("delta", 0.0)))
         if kind == "polygon":
             return Polygon2D(np.asarray(data["vertices"], dtype=float))
         if kind == "cut":

@@ -70,10 +70,13 @@ def _resolve_seed(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    if ".." not in text:
+        return [int(text)]
+    lo, hi = text.split("..", 1)
+    values = list(range(int(lo), int(hi) + 1))
+    if not values:
+        raise ValueError(f"range {text!r} is empty")
+    return values
 
 
 def _parse_vector(text: str) -> np.ndarray:

@@ -100,27 +100,20 @@ def cut_family(body: ConvexBody, v, seed=0) -> CutFamily:
 class SymmetricFunction:
     """Symmetric map of q points to a real, evaluated on stacked tuples."""
 
-    name: str
     arity: int
     eval_batch: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, points) -> float:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] != self.arity:
-            raise ValueError(f"{self.name} expects {self.arity} points, got shape {pts.shape}")
-        return float(self.eval_batch(pts[None, :, :])[0])
-
 
 def sf_one() -> SymmetricFunction:
-    return SymmetricFunction("one", 1, lambda pts: np.ones(pts.shape[0]))
+    return SymmetricFunction(1, lambda pts: np.ones(pts.shape[0]))
 
 
 def sf_coordinate_sum() -> SymmetricFunction:
-    return SymmetricFunction("coordsum", 1, lambda pts: pts[:, 0, :].sum(axis=1))
+    return SymmetricFunction(1, lambda pts: pts[:, 0, :].sum(axis=1))
 
 
 def sf_simplex_volume(d: int) -> SymmetricFunction:
-    return SymmetricFunction("simplexvol", d + 1, batch_simplex_volumes)
+    return SymmetricFunction(d + 1, batch_simplex_volumes)
 
 
 def _cut_rate(

@@ -66,14 +66,6 @@ def _batches(n: int, stream: SampleStream, draw, reduce) -> tuple[list, int]:
     return out, m
 
 
-def simplex_volume(points) -> float:
-    """Volume of the simplex spanned by d+1 points in dimension d."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != pts.shape[1] + 1:
-        raise ValueError(f"need d+1 points of dimension d, got shape {pts.shape}")
-    return float(batch_simplex_volumes(pts[None, :, :])[0])
-
-
 def _minor(m: np.ndarray, p: int, q: int, k: int, l: int) -> np.ndarray:
     """The 2x2 minor of rows (p, q) and columns (k, l) of each matrix in the stack."""
     return m[:, p, k] * m[:, q, l] - m[:, p, l] * m[:, q, k]
@@ -310,21 +302,3 @@ def isotropic_transform(body: ConvexBody, n: int = 10**5, seed=0) -> ConvexBody:
         )
     m = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
     return affine_image(body, m, -m @ est.centroid)
-
-
-def isotropic_constant_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate:
-    """L_K = (det A(K) / vol(K)^2)^(1/2d), affine invariant.
-
-    The determinant is always Monte Carlo; the volume is exact when the
-    body admits a closed form and Monte Carlo otherwise, with both noise
-    sources combined by the delta method.
-    """
-    stream = _resolve_stream(seed)
-    d = body.dim
-    det_est = det_cov_estimate(body, n, stream.substream(0))
-    if det_est.mean <= 0:
-        raise DegenerateBodyError("determinant estimate is nonpositive")
-    vol, vol_se = volume_with_stderr(body, n, stream.substream(1))
-    value = (det_est.mean / vol**2) ** (1.0 / (2 * d))
-    rel_var = (det_est.stderr / (2 * d * det_est.mean)) ** 2 + (vol_se / (d * vol)) ** 2
-    return MomentEstimate(value, value * math.sqrt(rel_var), det_est.n)

@@ -48,27 +48,6 @@ class ChordProfile:
     alpha: np.ndarray
     length: np.ndarray
 
-    @property
-    def u_min(self) -> float:
-        return float(self.breakpoints[0])
-
-    @property
-    def u_max(self) -> float:
-        return float(self.breakpoints[-1])
-
-    def alpha_at(self, u) -> np.ndarray:
-        return np.interp(u, self.breakpoints, self.alpha)
-
-    def length_at(self, u) -> np.ndarray:
-        return np.interp(u, self.breakpoints, self.length)
-
-    def area(self) -> float:
-        """The trapezoid rule over the breakpoints, in the order of operations of
-        ``scipy.integrate.trapezoid``, so the area is that function's, bit for bit."""
-        x, y = self.breakpoints, self.length
-        d = x[1:] - x[:-1]
-        return float((d * (y[1:] + y[:-1]) / 2.0).sum())
-
 
 def _collapse_chain(u: np.ndarray, y: np.ndarray, keep_max: bool, tol: float):
     """Merge chain nodes with equal abscissa (vertical edges at the chain ends)."""

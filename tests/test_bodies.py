@@ -44,22 +44,24 @@ def test_box_membership():
 def test_simplex_contains_centroid_not_vertex_overshoot():
     sim = gp.regular_simplex(3, 1.0)
     verts = gp.regular_simplex_vertices(3, 1.0)
-    assert gp.contains(sim, np.zeros(3))
-    assert gp.contains(sim, verts[0])
-    assert not gp.contains(sim, verts[0] * 1.01)
+    inside = [sim.contains_batch(np.array([p]))[0] for p in (np.zeros(3), verts[0], verts[0] * 1.01)]
+    assert inside == [True, True, False]
 
 
 def test_half_ball_cone_membership_pieces():
     cone = gp.HalfBallCone(3, 0.5, 0.0)
-    assert gp.contains(cone, [0.2, 0.3, 0.1])
-    assert gp.contains(cone, cone.apex)
-    assert gp.contains(cone, [-0.25, 0.2, 0.0])  # inside the cone piece
-    assert not gp.contains(cone, [-0.25, 0.6, 0.0])  # outside the cone slope
-    assert not gp.contains(cone, [-0.51, 0.0, 0.0])
-    assert not gp.contains(cone, [0.0, 1.01, 0.0])
+    points = [
+        [0.2, 0.3, 0.1],
+        cone.apex,
+        [-0.25, 0.2, 0.0],  # inside the cone piece
+        [-0.25, 0.6, 0.0],  # outside the cone slope
+        [-0.51, 0.0, 0.0],
+        [0.0, 1.01, 0.0],
+    ]
+    assert [cone.contains_batch(np.array([p]))[0] for p in points] == [True, True, True, False, False, False]
     truncated = gp.HalfBallCone(3, 0.5, 0.2)
-    assert not gp.contains(truncated, [-0.35, 0.0, 0.0])
-    assert gp.contains(truncated, [-0.25, 0.0, 0.0])
+    points = [[-0.35, 0.0, 0.0], [-0.25, 0.0, 0.0]]
+    assert [truncated.contains_batch(np.array([p]))[0] for p in points] == [False, True]
 
 
 def test_cut_and_affine_membership_compose():
@@ -368,25 +370,25 @@ def test_simplex_with_hull_point_geometry():
     verts = gp.regular_simplex_vertices(3, math.sqrt(15.0))
     # pushed point sits outside the base simplex but inside the new body
     base = gp.regular_simplex(3, math.sqrt(15.0))
-    assert not gp.contains(base, xa)
-    assert gp.contains(body, xa)
+    assert not base.contains_batch(xa[None])[0]
+    assert body.contains_batch(xa[None])[0]
     for v in verts:
-        assert gp.contains(body, v)
+        assert body.contains_batch(v[None])[0]
     # slightly beyond the pushed point is outside
-    assert not gp.contains(body, xa * 1.01)
+    assert not body.contains_batch(xa[None] * 1.01)[0]
     with pytest.raises(gp.InvalidBodyError):
         gp.simplex_with_hull_point(1.0)
     with pytest.raises(gp.InvalidBodyError):
         gp.simplex_with_hull_point(2.0)
 
 
-def test_make_counterexample_pair_is_nested():
-    inner, outer = gp.make_counterexample_pair(3, 0.2, 0.05)
+def test_truncated_cone_is_nested_in_the_full_cone():
+    inner, outer = gp.HalfBallCone(3, 0.2, 0.05), gp.HalfBallCone(3, 0.2, 0.0)
     pts = gp.sample_body(gp.SampleStream(19, 0), inner, 4000)
     assert outer.contains_batch(pts).all()
     assert inner.volume() < outer.volume()
     with pytest.raises(gp.InvalidBodyError):
-        gp.make_counterexample_pair(3, 0.1, 0.1)
+        gp.HalfBallCone(3, 0.1, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +442,10 @@ def test_body_from_json_rejects_malformed():
         gp.body_from_json({"type": "hpoly", "normals": [[1, 0]], "offsets": [0], "bound": [[0], [1]]})
     with pytest.raises(gp.InvalidBodyError):
         gp.body_from_json([1, 2, 3])
+    # a cone's dimension is taken as given, not truncated or parsed
+    for d in (3.7, "4"):
+        with pytest.raises(gp.DimensionError, match="must be an integer"):
+            gp.body_from_json({"type": "halfballcone", "d": d, "eps": 0.1})
 
 
 def test_body_from_json_checks_hpoly_bound():

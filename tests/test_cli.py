@@ -291,6 +291,23 @@ def test_hpoly_bound_that_truncates_the_body_is_usage_error(capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [3.7, "4"])
+def test_non_integer_cone_dimension_is_usage_error(capsys, d):
+    cone = json.dumps({"type": "halfballcone", "d": d, "eps": 0.1})
+    assert main(["estimate", "--body", cone, "--n", "6400"]) == 2
+    assert "dimension must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["exact-table", "--d", "4..2"], ["exact-table", "--k", "3..1"], ["k0-scan", "--d", "5..3"]]
+)
+def test_empty_range_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"range '{argv[-1]}' is empty" in captured.err
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["no-such-command"]) == 2
 

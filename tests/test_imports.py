@@ -1,15 +1,20 @@
 """Import structure of the package: geomprob modules import each other at
-module level only, the module import graph has no cycle, and SciPy's heavy
-subpackages load on first use."""
+module level only, the module import graph has no cycle, SciPy's heavy
+subpackages load on first use, and every public name has a caller outside
+the unit tests."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "geomprob"
+import geomprob as gp
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "geomprob"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
@@ -139,3 +144,26 @@ def test_import_loads_no_heavy_scipy_subpackage():
     loaded = set(json.loads(run.stdout))
     assert "geomprob" in loaded
     assert not loaded & {"scipy.optimize", "scipy.integrate", "scipy.spatial"}
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every identifier a file uses as a name, an attribute or an imported alias."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only its own unit tests call is dead weight: a caller
+    # is another module of the package, the benchmark, a tool or a criterion
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tools").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*map(_names_used, files))
+    public = {name for name in gp.__all__ if not inspect.ismodule(getattr(gp, name))}
+    assert sorted(public - used) == []

@@ -21,6 +21,12 @@ quartiles, the head/parent ratio of the medians, the parent's
 interquartile range relative to its median, and in how many pairs the head
 was better (ties count for neither side); then in how many pairs the
 digests were equal.
+
+Each seed line also gives both sides' failed/attempted checks. A median of
+``checks_passed`` hides a single run that fails one more check than its
+pair, so the script ends with each side's failed and attempted checks
+summed over all runs, and names every seed where the head failed more
+checks than the parent.
 """
 
 from __future__ import annotations
@@ -94,6 +100,10 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> list[str]
     return lines
 
 
+def _failed(result: dict) -> str:
+    return f"{result['failed']}/{result['attempted']}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True)
@@ -115,6 +125,7 @@ def main(argv=None) -> int:
 
     pairs = []
     equal_digests = 0
+    worse = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
         results, digests = {}, {}
@@ -132,9 +143,17 @@ def main(argv=None) -> int:
         print(f"seed {seed} ({order[0]} first): parent {wall['parent']:.1f}  head {wall['head']:.1f}  "
               f"ratio {wall['head'] / wall['parent']:.3f}  digests {'equal' if same else 'DIFFER'} "
               f"{str(digests['parent'])[:12]}/{str(digests['head'])[:12]}  "
-              f"correct {results['parent']['correct']}/{results['head']['correct']}", flush=True)
+              f"correct {results['parent']['correct']}/{results['head']['correct']}  "
+              f"failed {_failed(results['parent'])} / {_failed(results['head'])}", flush=True)
+        if results["head"]["failed"] > results["parent"]["failed"]:
+            worse.append(seed)
     print("\n".join(summarize(pairs, declared)))
     print(f"digests equal {equal_digests}/{len(pairs)}")
+    for side, index in (("parent", 0), ("head", 1)):
+        failed = sum(pair[index]["failed"] for pair in pairs)
+        attempted = sum(pair[index]["attempted"] for pair in pairs)
+        print(f"{side} failed {failed}/{attempted} checks")
+    print(f"head failed more checks than parent on seeds: {' '.join(map(str, worse)) or 'none'}")
     return 0
 
 
