@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -584,27 +585,16 @@ class Cut(ConvexBody):
     def volume(self) -> float | None:
         """Exact for a ball cut along one normal line (half-ball, cap, slab), else None.
 
-        The fraction of the ball is F(s_hi) - F(s_lo) for the axis CDF F. A
-        slab in the upper half, s_lo >= 0, takes it in mirrored form,
-        tail(s_lo) - tail(s_hi) with tail(s) = 1 - F(s) = F(-s)
-        (``_ball_axis_tail``), so a thin cap at the top keeps its relative
-        precision where F is near 1. A slab in the lower half, s_hi <= 0, is
-        the mirror image of the slab [-s_hi, -s_lo] and takes
-        tail(-s_hi) - tail(-s_lo), so a thin slab at the bottom keeps its
-        precision too.
+        The fraction of the ball is the width of the slab's quantile interval
+        (``_slab_quantiles``), which keeps its relative precision for thin
+        caps and thin slabs at either end.
         """
         params = parallel_slab_params(self)
         if params is None:
             return None
         root, _, s_lo, s_hi = params
-        d = self.dim
-        if s_lo >= 0.0:
-            frac = _ball_axis_tail(d, s_lo) - _ball_axis_tail(d, s_hi)
-        elif s_hi <= 0.0:
-            frac = _ball_axis_tail(d, -s_hi) - _ball_axis_tail(d, -s_lo)
-        else:
-            frac = _ball_axis_cdf(d, s_hi) - _ball_axis_cdf(d, s_lo)
-        return exact.kappa(d).to_float() * root.radius**d * max(frac, 0.0)
+        _, q_lo, q_hi = _slab_quantiles(self.dim, s_lo, s_hi)
+        return exact.kappa(self.dim).to_float() * root.radius**self.dim * max(q_hi - q_lo, 0.0)
 
     def support(self, v, cuts=()) -> tuple[float, float]:
         return self.base.support(v, (self.halfspace, *cuts))
@@ -723,27 +713,28 @@ def _ball_axis_cdf(d: int, s: float) -> float:
     """Fraction of the unit d-ball with first coordinate at most s.
 
     The coordinate density is proportional to (1 - s^2)^((d-1)/2), whose
-    integral is a regularized incomplete beta function.
+    integral is a regularized incomplete beta function. 1 - s^2 is formed as
+    (1 - s)(1 + s), since 1 - s s loses its leading digits near |s| = 1.
     """
     if s <= -1.0:
         return 0.0
     if s >= 1.0:
         return 1.0
-    tail = 0.5 * float(betainc((d + 1) / 2.0, 0.5, 1.0 - s * s))
+    tail = 0.5 * float(betainc((d + 1) / 2.0, 0.5, (1.0 - s) * (1.0 + s)))
     return tail if s <= 0.0 else 1.0 - tail
 
 
-def _ball_axis_tail(d: int, s: float) -> float:
-    """Fraction of the unit d-ball with first coordinate at least s, for s >= 0.
+def _slab_quantiles(d: int, s_lo: float, s_hi: float) -> tuple[float, float, float]:
+    """(sign, q_lo, q_hi): the slab s_lo <= s <= s_hi of the unit d-ball as a quantile interval.
 
-    This is 1 - F(s) = F(-s) for the axis CDF F, with 1 - s^2 formed as
-    (1 - s)(1 + s). Near s = 1 the form 1 - s s rounds in its leading
-    digits, and the volume of the cap x_1 >= 0.9999 of the 8-ball would be
-    off by 1.1e-12 relative.
+    The slab is {sign s : q_lo <= F(s) <= q_hi} for the axis CDF F, and
+    q_hi - q_lo is its share of the ball. A slab with s_lo >= 0 is taken as
+    its mirror image [-s_hi, -s_lo] (sign -1), so both ends are lower tails
+    F(-s) = 1 - F(s), which keep their precision where F(s) is near 1.
     """
-    if s >= 1.0:
-        return 0.0
-    return 0.5 * float(betainc((d + 1) / 2.0, 0.5, (1.0 - s) * (1.0 + s)))
+    if s_lo >= 0.0:
+        return -1.0, _ball_axis_cdf(d, -s_hi), _ball_axis_cdf(d, -s_lo)
+    return 1.0, _ball_axis_cdf(d, s_lo), _ball_axis_cdf(d, s_hi)
 
 
 def _ball_axis_ppf(d: int, q: np.ndarray) -> np.ndarray:
@@ -1034,6 +1025,24 @@ def _check_bound(poly: HPolytope) -> None:
             )
 
 
+def _number(x) -> float:
+    """float(x) for a real number; a string or boolean, which float() would coerce, raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def _floats(x) -> np.ndarray:
+    """np.asarray(x, dtype=float) once ``_number`` accepts every entry; np.asarray([0, True]) is int."""
+    items = x.tolist() if isinstance(x, np.ndarray) else x
+    if isinstance(items, (list, tuple)):
+        for item in items:
+            _floats(item)
+    else:
+        _number(items)
+    return np.asarray(x, dtype=float)
+
+
 def body_from_json(data) -> ConvexBody:
     if isinstance(data, str):
         data = json.loads(data)
@@ -1042,34 +1051,21 @@ def body_from_json(data) -> ConvexBody:
     kind = data["type"]
     try:
         if kind == "ball":
-            return Ball(np.asarray(data["center"], dtype=float), float(data["radius"]))
+            return Ball(_floats(data["center"]), _number(data["radius"]))
         if kind == "hpoly":
-            bound = BoundingBox(
-                np.asarray(data["bound"]["lo"], dtype=float),
-                np.asarray(data["bound"]["hi"], dtype=float),
-            )
-            poly = HPolytope(
-                np.asarray(data["normals"], dtype=float),
-                np.asarray(data["offsets"], dtype=float),
-                bound,
-            )
+            bound = BoundingBox(_floats(data["bound"]["lo"]), _floats(data["bound"]["hi"]))
+            poly = HPolytope(_floats(data["normals"]), _floats(data["offsets"]), bound)
             _check_bound(poly)
             return poly
         if kind == "halfballcone":
-            return HalfBallCone(data["d"], float(data["eps"]), float(data.get("delta", 0.0)))
+            return HalfBallCone(data["d"], _number(data["eps"]), _number(data.get("delta", 0.0)))
         if kind == "polygon":
-            return Polygon2D(np.asarray(data["vertices"], dtype=float))
+            return Polygon2D(_floats(data["vertices"]))
         if kind == "cut":
-            return Cut(
-                body_from_json(data["base"]),
-                Halfspace.through(np.asarray(data["normal"], dtype=float), float(data["offset"])),
-            )
+            base = body_from_json(data["base"])
+            return Cut(base, Halfspace.through(_floats(data["normal"]), _number(data["offset"])))
         if kind == "affine":
-            return AffineImage(
-                body_from_json(data["base"]),
-                np.asarray(data["matrix"], dtype=float),
-                np.asarray(data["shift"], dtype=float),
-            )
+            return AffineImage(body_from_json(data["base"]), _floats(data["matrix"]), _floats(data["shift"]))
     except KeyError as err:
         raise InvalidBodyError(f"body JSON for {kind!r} is missing field {err}") from err
     except (TypeError, ValueError) as err:

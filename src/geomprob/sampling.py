@@ -29,9 +29,10 @@ from .bodies import (
     Cut,
     HalfBallCone,
     Halfspace,
-    _ball_axis_cdf,
     _ball_axis_ppf,
     _rowwise,
+    _slab_quantiles,
+    _unit,
     bounding_box,
     parallel_slab_params,
 )
@@ -236,27 +237,28 @@ def _direct_sampler(body: ConvexBody):
 def _slab_sampler(ball: Ball, axis: np.ndarray, s_lo: float, s_hi: float):
     """Exact sampler for a ball restricted to s_lo <= <axis, x - c>/R <= s_hi.
 
-    The axis coordinate is drawn by inverting its marginal CDF between the
-    slab quantiles; the transverse part is uniform in the section ball. No
-    rejection, so arbitrarily thin caps cost the same as thick ones. Each
-    point takes one uniform for the axis and d - 1 normals and one uniform
-    for the section. The inverse CDF (``_ball_axis_ppf``) is the closed-form
-    root of a cubic at d = 3, a table polished by Newton steps at d = 4, and
-    ``betaincinv`` at any other d.
+    The axis coordinate is drawn by inverting its marginal CDF on the slab's
+    quantile interval (``_slab_quantiles``, as ``Cut.volume`` takes it);
+    where that is mirrored, q falls as the uniform rises, so s still rises.
+    The transverse part is uniform in the section ball. No rejection, so
+    arbitrarily thin caps cost the same as thick ones. Each point takes one
+    uniform for the axis and d - 1 normals and one uniform for the section.
+    The inverse CDF (``_ball_axis_ppf``) is the closed-form root of a cubic
+    at d = 3, a table polished by Newton steps at d = 4, else ``betaincinv``.
     """
     d = ball.dim
-    q_lo = _ball_axis_cdf(d, s_lo)
-    q_hi = _ball_axis_cdf(d, s_hi)
+    sign, q_lo, q_hi = _slab_quantiles(d, s_lo, s_hi)
     if not q_lo < q_hi:
         return None
     basis = slice_basis(axis) if d >= 2 else None
 
     def fn(stream: SampleStream, n: int) -> np.ndarray:
-        q = q_lo + stream.uniform(n) * (q_hi - q_lo)
-        s = _ball_axis_ppf(d, q)
+        u = stream.uniform(n)
+        q = q_hi - u * (q_hi - q_lo) if sign < 0 else q_lo + u * (q_hi - q_lo)
+        s = sign * _ball_axis_ppf(d, q)
         pts = s[:, None] * axis[None, :]
         if d >= 2:
-            section = np.sqrt(np.maximum(1.0 - s * s, 0.0))
+            section = np.sqrt((1.0 - s) * (1.0 + s))
             pts += (sample_ball(stream, n, d - 1) * section[:, None]) @ basis
         return ball.center + ball.radius * pts
 
@@ -366,8 +368,7 @@ def _slice_frame(body: ConvexBody, v, t: float):
     """
     if body.dim < 2:
         raise DimensionError("slices need ambient dimension >= 2")
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
+    v = _unit(v)
     key = (v.tobytes(), t)
     kept = vars(body).get("_slice_frame")
     if kept is not None and kept[0] == key:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polygon2D, VERTEX_TOL
+from .bodies import Polygon2D, VERTEX_TOL, _unit
 from .errors import InvalidBodyError
 from .estimators import _resolve_stream, det_cov_estimate, moment_estimate, pinned_moment_estimate
 from .report import ExperimentReport
@@ -274,9 +274,11 @@ def symmetric_bottom_polygon(stream: SampleStream) -> Polygon2D:
 
 
 def clip_polygon(poly: Polygon2D, normal, offset: float) -> Polygon2D | None:
-    """Sutherland-Hodgman clip keeping {<normal, x> >= offset}; None if empty."""
-    n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
+    """Sutherland-Hodgman clip keeping {<normal, x> >= offset}; None if empty.
+
+    Raises ValueError for a zero or non-finite normal.
+    """
+    n = _unit(normal)
     v = poly.vertices
     out: list[np.ndarray] = []
     m = len(v)

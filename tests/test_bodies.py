@@ -457,6 +457,37 @@ def test_body_from_json_checks_hpoly_bound():
         gp.body_from_json({**square, "normals": [[1, 0], [0, 1]], "offsets": [0, 0]})
 
 
+_SQUARE_JSON = gp.unit_cube(2).to_json()
+# each would load if strings and booleans were coerced to numbers
+NON_NUMERIC_BODIES = {
+    "ball": {"type": "ball", "center": ["0", "1e0"], "radius": True},
+    "ball_radius": {"type": "ball", "center": [0.0, 1.0], "radius": True},
+    "cone": {"type": "halfballcone", "d": 3, "eps": "0.5", "delta": "0.1"},
+    "polygon": {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, True]]},
+    "cut": {"type": "cut", "base": {"type": "ball", "center": [0, 0], "radius": 1}, "normal": [1, 0], "offset": "0"},
+    "hpoly": {**_SQUARE_JSON, "bound": {"lo": [0, 0], "hi": [1, True]}},
+    "affine": {"type": "affine", "base": _SQUARE_JSON, "matrix": [[1, 0], [0, False]], "shift": [0, 0]},
+}
+
+
+@pytest.mark.parametrize("name", list(NON_NUMERIC_BODIES))
+def test_body_from_json_rejects_strings_and_booleans(name):
+    with pytest.raises(gp.InvalidBodyError, match="expected a number"):
+        gp.body_from_json(NON_NUMERIC_BODIES[name])
+    with pytest.raises(gp.InvalidBodyError, match="expected a number"):
+        gp.body_from_json(json.dumps(NON_NUMERIC_BODIES[name]))
+
+
+def test_body_from_json_reads_numbers_as_before():
+    # ints, floats and numpy arrays load as np.asarray(..., dtype=float) and float() read them
+    ball = gp.body_from_json({"type": "ball", "center": np.array([0, 1]), "radius": 2})
+    assert ball.center.tolist() == [0.0, 1.0] and ball.radius == 2.0
+    cut = gp.body_from_json({"type": "cut", "base": ball.to_json(), "normal": [3, 4], "offset": 0.1})
+    assert cut.halfspace.normal.tolist() == [0.6, 0.8] and cut.halfspace.offset == 0.1 / 5.0
+    with pytest.raises(gp.InvalidBodyError, match="expected a number"):
+        gp.body_from_json({"type": "ball", "center": [0.0, 1.0], "radius": [1.0]})
+
+
 # ---------------------------------------------------------------------------
 # spherical caps and slabs
 

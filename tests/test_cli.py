@@ -9,6 +9,7 @@ import pytest
 
 import geomprob as gp
 from geomprob.cli import main
+from test_bodies import NON_NUMERIC_BODIES
 
 BALL2 = json.dumps({"type": "ball", "center": [0.0, 0.0], "radius": 1.0})
 SQUARE = json.dumps(
@@ -296,6 +297,14 @@ def test_non_integer_cone_dimension_is_usage_error(capsys, d):
     cone = json.dumps({"type": "halfballcone", "d": d, "eps": 0.1})
     assert main(["estimate", "--body", cone, "--n", "6400"]) == 2
     assert "dimension must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(NON_NUMERIC_BODIES))
+def test_non_numeric_body_field_is_usage_error(capsys, name):
+    assert main(["estimate", "--body", json.dumps(NON_NUMERIC_BODIES[name]), "--n", "6400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a number" in captured.err
 
 
 @pytest.mark.parametrize(

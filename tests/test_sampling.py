@@ -1,6 +1,7 @@
 """Stream reproducibility and uniformity of the body samplers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.stats import chi2
 
 import geomprob as gp
 from geomprob import derivatives, sampling
+from geomprob.bodies import parallel_slab_params
 from geomprob.report import hit_or_miss
 from geomprob.sampling import REJECTION_BATCH, _reject, _rejection_sample, _slice_frame
 
@@ -175,6 +177,17 @@ def test_slice_functions_check_the_sample_count():
     assert gp.sample_slice(gp.SampleStream(29, 0), ball, v, 0.2, 0).shape == (0, 2)
 
 
+@pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [math.nan, 1.0, 0.0], [math.inf, 1.0, 0.0]])
+def test_slice_functions_reject_a_zero_or_non_finite_direction(v):
+    ball = gp.Ball(np.zeros(3), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (gp.sample_slice, gp.slice_measure):
+            with pytest.raises(ValueError, match="direction must be nonzero and finite"):
+                fn(gp.SampleStream(29, 0), ball, v, 0.2, 100)
+    assert "_slice_frame" not in vars(ball)
+
+
 def test_slice_at_a_polytope_vertex_is_degenerate():
     # the LP ends of a point section can cross by a rounding; the frame gives them zero width
     sim = gp.isotropic_simplex(3)
@@ -304,6 +317,87 @@ def test_slab_sampler_tilted_axis_moments():
     want = num / den
     se = float(proj.std() / math.sqrt(len(proj)))
     assert abs(float(proj.mean()) - want) <= 4.0 * se
+
+
+def _unit_ball_slab(d, lo=None, hi=None):
+    """The unit d-ball cut to lo <= x_1 <= hi; the last cut applied decides the slab's axis."""
+    e1 = np.eye(d)[0]
+    body = gp.Ball(np.zeros(d), 1.0)
+    if hi is not None:
+        body = gp.Cut(body, gp.Halfspace.through(-e1, -hi))
+    if lo is not None:
+        body = gp.Cut(body, gp.Halfspace.through(e1, lo))
+    return body
+
+
+def test_thin_cap_samples_on_the_slab_path(monkeypatch):
+    # the cap x_1 >= 0.9999 of the unit 8-ball has volume 1.19e-17; its quantile
+    # interval must stay nonempty, or the cap would fall to base rejection and starve
+    cap = _unit_ball_slab(8, lo=0.9999)
+    monkeypatch.setattr(sampling, "_reject", lambda *args: pytest.fail("the cap took a rejection path"))
+    pts = gp.sample_body(gp.SampleStream(81, 0), cap, 20_000)
+    assert pts.shape == (20_000, 8)
+    assert bool(cap.contains_batch(pts).all())
+    assert float(pts[:, 0].min()) >= 0.9999 - 1e-15
+
+
+def test_thin_cap_axis_values_are_distinct():
+    # from plain quantile differences near 1 this cap drew only 833 distinct axis values
+    cap = _unit_ball_slab(8, lo=0.999)
+    pts = gp.sample_body(gp.SampleStream(1, 0), cap, 100_000)
+    assert bool(cap.contains_batch(pts).all())
+    assert len(np.unique(pts[:, 0])) >= 99_000
+
+
+@pytest.mark.parametrize(
+    "d, lo, hi, sub_lo, sub_hi",
+    [
+        (4, 0.5, None, 0.7, None),  # cap, mirrored
+        (5, 0.2, 0.6, 0.35, 0.5),  # upper slab, mirrored
+        (3, -0.3, 0.6, 0.2, 0.6),  # two-sided slab through the center
+        (8, -0.9, -0.4, -0.9, -0.6),  # bottom slab
+    ],
+)
+def test_slab_share_of_a_sub_slab_matches_the_volume_ratio(d, lo, hi, sub_lo, sub_hi):
+    body = _unit_ball_slab(d, lo, hi)
+    sub = _unit_ball_slab(d, sub_lo, sub_hi)
+    n = 100_000
+    pts = gp.sample_body(gp.SampleStream(82, d), body, n)
+    assert bool(body.contains_batch(pts).all())
+    share = float(np.count_nonzero(sub.contains_batch(pts))) / n
+    p = sub.volume() / body.volume()
+    assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+class _SortedFirstUniforms:
+    """A stream whose first uniform draw comes sorted; every other draw is the wrapped stream's."""
+
+    def __init__(self, stream):
+        self.stream, self.first = stream, True
+
+    def uniform(self, size):
+        u = self.stream.uniform(size)
+        if self.first:
+            self.first = False
+            u = np.sort(u)
+        return u
+
+    def normal(self, size):
+        return self.stream.normal(size)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("lo, hi", [(0.4, None), (0.1, 0.7), (-0.9, -0.2), (-0.5, 0.5)])
+def test_slab_axis_rises_with_the_uniform(d, lo, hi):
+    # mirrored or not, sorted uniforms give a non-decreasing axis coordinate; the
+    # d = 4 inverse CDF is monotone only to one ulp, hence the 1e-15
+    body = _unit_ball_slab(d, lo, hi)
+    ball, axis, s_lo, s_hi = parallel_slab_params(body)
+    assert axis.tolist() == np.eye(d)[0].tolist()
+    pts = sampling._slab_sampler(ball, axis, s_lo, s_hi)(_SortedFirstUniforms(gp.SampleStream(83, d)), 50_000)
+    s = pts[:, 0]
+    assert float(np.diff(s).min()) >= -1e-15
+    assert s_lo - 1e-15 <= float(s[0]) and float(s[-1]) <= s_hi + 1e-15
 
 
 # ---------------------------------------------------------------------------

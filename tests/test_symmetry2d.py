@@ -1,6 +1,7 @@
 """Chord profiles, Steiner symmetrization, and Blaschke shaking."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,16 @@ def test_clip_polygon_square_cases():
     assert gp.clip_polygon(sq, [1.0, 0.0], 2.0) is None
     whole = gp.clip_polygon(sq, [1.0, 0.0], -1.0)
     assert math.isclose(whole.area(), 1.0, rel_tol=AREA_REL_TOL)
+
+
+@pytest.mark.parametrize("normal", [[0.0, 0.0], [math.nan, 1.0], [1.0, math.inf]])
+@pytest.mark.parametrize("offset", [-0.1, 0.1])
+def test_clip_polygon_rejects_a_zero_or_non_finite_normal(normal, offset):
+    sq = gp.Polygon2D([[0, 0], [1, 0], [1, 1], [0, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="direction must be nonzero and finite"):
+            gp.clip_polygon(sq, normal, offset)
 
 
 def test_nested_polygon_pair_is_nested():
