@@ -250,7 +250,7 @@ CASES = {
 CASES.update({f"geometry/{name}": (lambda name=name: _geometry(name)) for name in BODIES})
 
 GOLDEN = {
-    "derivative/crofton_coordsum": "b646894b12df84dbbd2550c0809c696493fd25b97894c135a46f8b4cb6786d79",
+    "derivative/crofton_coordsum": "c67b550a6d6cd855fc534b322990680f940a8599903df1f9a3816d33a4d4679e",
     "derivative/crofton_simplexvol": "02074445b658ffd1684da583e732bb8d710a263c6f9ea4888c363bb9dff3c979",
     "derivative/detcov_simplex": "c3bb32590e47b8bfc3375929b47a306cbbdc92b4f6561d8c08caca613d377054",
     "derivative/detcov_square": "141390cd01fd0e1cd4e48d7486158f31935fd720acdf49d064aaba7e6db9f8c4",
@@ -285,10 +285,10 @@ GOLDEN = {
     "sample/cone": "909c1acdf51fc2297231c086485aa0818882cbc72b0cabddd5e7e41db4a6935c",
     "sample/reflect": "6cca3e896f4e846f5aac832a0c0998986d6b115eefb56e7d609cb635069ed2ff",
     "sample/reflect_affine": "d91eb89de1c8e00277d57a6503b1a89c0c86034b5732438fbee3e841969924fb",
-    "sample/slab": "3d24780912c3cd45aaaab425ae643c66bc80ad64bca38b466bf6493e3cd3584b",
-    "sample/slab_two_sided": "e4adfb999d8a6e52f24e3b3a869bb07e78bfba108963a9059d22dbb0b92cc43b",
-    "sample/slab_d4": "0871a2a31e6c1d0a7089ae8b85f8d38941633df04056103bfe666eb7518845d2",
-    "sample/slab_d5": "652e82050bf6cc2543e868249fcc9b1d9fc5cabf167bdef93e516ce2ce519b98",
+    "sample/slab": "9ba07e290f776a6c883677c4830ebc50e880674863df342c431e7cb47db1527f",
+    "sample/slab_two_sided": "d78f61b380105c2907b76a8acaf03578e43eb3f59db76dbfbf668b9622b0f8f2",
+    "sample/slab_d4": "f18a6c979825f7f8ecbc5f81cbddeb47e763fa0cecdb4bc47011ebbcbc442a93",
+    "sample/slab_d5": "9a5e50858dc5fcfecfa3ca03b76a2d124fcc831cac9e35a90c4d22ad3018f646",
     "sample/slice": "a2884322eb469f22e99344914ad68ae8ad29975c7410cd4bc28564f6cfdaf3c4",
     "sample/slice_d4": "79464e695192a097c72ac7466f4c41314ff14cbffc247a6f195372d48808ec80",
     "sample/slice_simplex": "2404307db2d5e4fe46112f45b5ea11f7567e98ede8be8d4f433b359f922bf3a5",
