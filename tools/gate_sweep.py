@@ -25,10 +25,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the benchmark's thread setting, before numpy is imported
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 
 def seed_range(text: str) -> range:
     """'a..b' (inclusive) or a single seed 'a'."""
@@ -55,6 +51,9 @@ def failed_checks(plan) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # the benchmark's thread setting, before numpy is imported
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
