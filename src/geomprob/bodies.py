@@ -1068,6 +1068,6 @@ def body_from_json(data) -> ConvexBody:
             return AffineImage(body_from_json(data["base"]), _floats(data["matrix"]), _floats(data["shift"]))
     except KeyError as err:
         raise InvalidBodyError(f"body JSON for {kind!r} is missing field {err}") from err
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise InvalidBodyError(f"body JSON for {kind!r} is malformed: {err}") from err
     raise InvalidBodyError(f"unknown body type tag {kind!r}")

@@ -478,6 +478,13 @@ def test_body_from_json_rejects_strings_and_booleans(name):
         gp.body_from_json(json.dumps(NON_NUMERIC_BODIES[name]))
 
 
+def test_body_from_json_rejects_an_integer_too_large_for_a_float():
+    big = 10**400
+    for data in ({"type": "ball", "center": [0, 0], "radius": big}, {"type": "ball", "center": [0, big], "radius": 1}):
+        with pytest.raises(gp.InvalidBodyError, match="too large"):
+            gp.body_from_json(json.dumps(data))
+
+
 def test_body_from_json_reads_numbers_as_before():
     # ints, floats and numpy arrays load as np.asarray(..., dtype=float) and float() read them
     ball = gp.body_from_json({"type": "ball", "center": np.array([0, 1]), "radius": 2})

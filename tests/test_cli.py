@@ -307,6 +307,12 @@ def test_non_numeric_body_field_is_usage_error(capsys, name):
     assert "expected a number" in captured.err
 
 
+def test_integer_too_large_for_a_float_is_usage_error(capsys):
+    ball = json.dumps({"type": "ball", "center": [0, 0], "radius": 10**400})
+    assert main(["estimate", "--body", ball, "--n", "6400"]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["exact-table", "--d", "4..2"], ["exact-table", "--k", "3..1"], ["k0-scan", "--d", "5..3"]]
 )
