@@ -1034,12 +1034,8 @@ def _number(x) -> float:
 
 def _floats(x) -> np.ndarray:
     """np.asarray(x, dtype=float) once ``_number`` accepts every entry; np.asarray([0, True]) is int."""
-    items = x.tolist() if isinstance(x, np.ndarray) else x
-    if isinstance(items, (list, tuple)):
-        for item in items:
-            _floats(item)
-    else:
-        _number(items)
+    for item in np.asarray(x, dtype=object).ravel():
+        _number(item)
     return np.asarray(x, dtype=float)
 
 

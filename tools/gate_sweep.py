@@ -1,12 +1,13 @@
 """Gate calibration: how often each benchmark check fails over a range of seeds.
 
-    python3 tools/gate_sweep.py --workload derivative-check --seeds 0..29 [--scale 1.0]
+    python3 tools/gate_sweep.py --workload derivative-check --seeds 0..29
 
 For every seed of the inclusive range, builds the workload from
-``perfbench/workloads.py`` at that seed and runs one pass of its checks on a
-fresh copy of the inputs, at one BLAS thread as the benchmark runs them. A
-check fails when its gate says so or when it raises; a raised exception
-counts as a fail and its traceback goes to standard error.
+``perfbench/workloads.py`` at that seed and runs one pass of its checks
+through ``perfbench/run.py``'s ``run_pass``, as the benchmark runs them: on
+a fresh copy of the inputs, at one BLAS thread. A check fails when
+``run.passed`` says so, so a raised exception counts as a fail and its
+traceback goes to standard error.
 
 It prints one line per seed with the checks that failed there, then one
 line per check with its fails over the seeds, then the total. Two trees
@@ -17,10 +18,7 @@ output of a parent and a head can be compared with ``diff``.
 from __future__ import annotations
 
 import argparse
-import copy
-import os
 import sys
-import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,41 +33,26 @@ def seed_range(text: str) -> range:
     return seeds
 
 
-def failed_checks(plan) -> list[str]:
-    """Names of the checks of one pass that failed their gate or raised."""
-    inputs = copy.deepcopy(plan.inputs)
-    failed = []
-    for check in plan.checks:
-        try:
-            ok = bool(check.run(inputs).ok)
-        except Exception:
-            traceback.print_exc(file=sys.stderr)
-            ok = False
-        if not ok:
-            failed.append(check.name)
-    return failed
-
-
 def main(argv=None) -> int:
-    # the benchmark's thread setting, before numpy is imported
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    # importing run sets the benchmark's one BLAS thread before numpy loads
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+
+    run.import_geomprob()
     import workloads
 
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="inclusive range a..b")
-    parser.add_argument("--scale", type=float, default=1.0, help="sample budget factor (the benchmark's is 1.0)")
     args = parser.parse_args(argv)
 
     build = workloads.WORKLOADS[args.workload]
     fails: dict[str, int] = {}
     for seed in args.seeds:
-        plan = build(seed, args.scale)
+        plan = build(seed)
         for check in plan.checks:
             fails.setdefault(check.name, 0)
-        failed = failed_checks(plan)
+        failed = [r.name for r in run.run_pass(plan)[1] if not run.passed(r)]
         for name in failed:
             fails[name] += 1
         print(f"seed {seed}: {len(failed)}/{len(plan.checks)} failed" + "".join(f" {name}" for name in failed),
