@@ -26,6 +26,8 @@ DIM_CAP = 8
 MEMBERSHIP_ATOL = 1e-12
 VERTEX_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
+SINGULAR_COND = 1e12  # a matrix of larger condition number counts as singular
+VERTEX_CHUNK = 4096  # row subsets per batched solve of the vertex enumeration
 
 
 def _as_vector(x, d: int | None = None) -> np.ndarray:
@@ -86,6 +88,8 @@ class Halfspace:
         norm = float(np.linalg.norm(n))
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise InvalidBodyError(f"halfspace normal must be unit length, |n| = {norm!r}")
+        if not math.isfinite(self.offset):
+            raise InvalidBodyError(f"halfspace offset must be finite, got {self.offset!r}")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset))
 
@@ -181,29 +185,68 @@ def _inside(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.nda
 
 def _rows(normals: np.ndarray, offsets: np.ndarray, cuts) -> tuple[np.ndarray, np.ndarray]:
     """A body's halfspace rows with the rows of the halfspaces ``cuts`` appended."""
-    if not cuts:
-        return normals, offsets
     return (
         np.vstack([normals, [h.normal for h in cuts]]),
         np.concatenate([offsets, [h.offset for h in cuts]]),
     )
 
 
-def _lp_support(normals: np.ndarray, offsets: np.ndarray, u: np.ndarray, box=None) -> tuple[float, float]:
-    """(min, max) of <u, x> over {x : <n_i, x> >= t_i}, within ``box`` if given, by two HiGHS LPs."""
-    # scipy.optimize loads on the first LP, not with the package
-    from scipy.optimize import linprog
+def _tight_points(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Every x with <n_i, x> >= t_i - VERTEX_TOL for all i at which d linearly independent rows are tight.
 
-    bounds = (None, None) if box is None else np.column_stack([box.lo, box.hi])
-    ends = []
-    for sign in (1.0, -1.0):
-        res = linprog(sign * u, A_ub=-normals, b_ub=-offsets, bounds=bounds, method="highs")
-        if res.status == 3:
-            raise InvalidBodyError("the halfspaces are unbounded")
-        if res.status != 0:
-            raise DegenerateBodyError(f"support LP failed: {res.message}")
-        ends.append(float(u @ res.x))
-    return ends[0], ends[1]
+    The systems of the d-row subsets with condition number at most
+    SINGULAR_COND are solved VERTEX_CHUNK subsets to a batched solve. Of
+    solutions within VERTEX_TOL of each other (more than d tight rows), the
+    best-conditioned one is kept.
+    """
+    d = normals.shape[1]
+    subsets = itertools.combinations(range(len(offsets)), d)
+    points, conds = [np.empty((0, d))], [np.empty(0)]
+    while chunk := list(itertools.islice(subsets, VERTEX_CHUNK)):
+        rows = np.array(chunk)
+        a = normals[rows]
+        cond = np.linalg.cond(a)
+        ok = cond <= SINGULAR_COND
+        x = np.linalg.solve(a[ok], offsets[rows[ok]][:, :, None])[:, :, 0]
+        feasible = np.all(normals @ x.T >= (offsets - VERTEX_TOL)[:, None], axis=0)
+        points.append(x[feasible])
+        conds.append(cond[ok][feasible])
+    x = np.concatenate(points)[np.argsort(np.concatenate(conds), kind="stable")]
+    kept = np.zeros(len(x), dtype=bool)
+    for i, p in enumerate(x):
+        kept[i] = not np.any(np.abs(x[kept] - p).max(axis=1) <= VERTEX_TOL)
+    return x[kept]
+
+
+def _vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    x = _tight_points(normals, offsets)
+    if not len(x):
+        raise DegenerateBodyError("the halfspaces have an empty intersection")
+    return x
+
+
+def _check_bounded(normals: np.ndarray) -> None:
+    """Raise InvalidBodyError unless the cone {y : <n_i, y> >= 0} is {0}, so that any offsets bound the rows.
+
+    Where the rows span R^d, c = sum_i n_i is positive on the cone's nonzero
+    points, so the cone is {0} exactly when its part with <c/|c|, y> >= 1 has
+    no vertex, and at once when c = 0.
+    """
+    m, d = normals.shape
+    c = normals.sum(axis=0)
+    norm = float(np.linalg.norm(c))
+    if np.linalg.matrix_rank(normals) < d or (
+        norm > 0 and len(_tight_points(np.vstack([normals, c / norm]), np.append(np.zeros(m), 1.0)))
+    ):
+        raise InvalidBodyError("the halfspaces are unbounded")
+
+
+def _polytope_support(body, v, cuts) -> tuple[float, float]:
+    """(min, max) of <v, x> over the vertices of a polytope's rows with the halfspaces ``cuts`` appended."""
+    u = _unit(v)
+    vertices = _vertices(*_rows(body.normals, body.offsets, cuts)) if cuts else body.vertices
+    proj = vertices @ u
+    return float(proj.min()), float(proj.max())
 
 
 def _ball_cut_max(ball: "Ball", u: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> float:
@@ -289,8 +332,8 @@ class ConvexBody:
     - ``box()``: an axis-aligned ``BoundingBox`` containing the body;
     - ``volume()``: the closed-form volume, or None where there is none;
     - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
-      intersected with the halfspaces ``cuts``, in closed form or by one LP
-      per end; each nesting level normalizes v. No body draws a sample;
+      intersected with the halfspaces ``cuts``, in closed form or over the
+      vertices; each nesting level normalizes v. No body draws a sample;
     - ``to_json()``: the JSON object that ``body_from_json`` reads back.
 
     A new body type is one subclass; the module-level functions delegate.
@@ -343,24 +386,24 @@ class Ball(ConvexBody):
 
 @dataclass(frozen=True)
 class HPolytope(ConvexBody):
-    """Intersection of halfspaces {x : <n_i, x> >= t_i} with a stored bounding box.
+    """Bounded, nonempty intersection of halfspaces {x : <n_i, x> >= t_i}.
 
-    Normals are stored unit length (rows). The box is part of the definition
-    contract: it must contain the feasible set and is what rejection sampling
-    proposes from.
+    Normals are stored unit length (rows). The vertices (``_tight_points``)
+    and the bounding box, their extremes, are computed once here; rejection
+    sampling proposes from the box. Unbounded halfspaces raise
+    InvalidBodyError, and an empty intersection DegenerateBodyError.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
-    bound: BoundingBox
+    vertices: np.ndarray = field(init=False, repr=False, compare=False)
+    bound: BoundingBox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.asarray(self.normals, dtype=float)
         t = np.asarray(self.offsets, dtype=float)
         if n.ndim != 2 or t.ndim != 1 or n.shape[0] != t.shape[0]:
             raise InvalidBodyError("normals must be (m, d), offsets (m,)")
-        if n.shape[0] == 0:
-            raise InvalidBodyError("an H-polytope needs at least one halfspace")
         if not (np.all(np.isfinite(n)) and np.all(np.isfinite(t))):
             raise InvalidBodyError("halfspace data must be finite")
         _check_dim(n.shape[1])
@@ -369,10 +412,12 @@ class HPolytope(ConvexBody):
             raise InvalidBodyError("zero normal in H-polytope")
         n = n / norms[:, None]
         t = t / norms
-        if self.bound.dim != n.shape[1]:
-            raise DimensionError("bounding box dimension does not match halfspaces")
+        _check_bounded(n)
+        v = _vertices(n, t)
         object.__setattr__(self, "normals", n)
         object.__setattr__(self, "offsets", t)
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "bound", BoundingBox(v.min(axis=0), v.max(axis=0)))
 
     @property
     def dim(self) -> int:
@@ -385,33 +430,18 @@ class HPolytope(ConvexBody):
         return self.bound
 
     def volume(self) -> float | None:
-        """Exact when every facet is axis-aligned (a box), else None."""
-        lo = self.bound.lo.copy()
-        hi = self.bound.hi.copy()
-        for normal, offset in zip(self.normals, self.offsets):
-            axis = int(np.argmax(np.abs(normal)))
-            rest = float(np.abs(normal).sum() - abs(normal[axis]))
-            if abs(abs(normal[axis]) - 1.0) > 1e-12 or rest > 1e-12:
-                return None
-            if normal[axis] > 0:
-                lo[axis] = max(lo[axis], offset)
-            else:
-                hi[axis] = min(hi[axis], -offset)
-        if np.any(hi <= lo):
-            return 0.0
-        return float(np.prod(hi - lo))
+        """Exact when every facet is axis-aligned, since the body is then its bound; else None."""
+        a = np.abs(self.normals)
+        axis = a.max(axis=1)
+        if np.any(np.abs(axis - 1.0) > 1e-12) or np.any(a.sum(axis=1) - axis > 1e-12):
+            return None
+        return self.bound.volume()
 
     def support(self, v, cuts=()) -> tuple[float, float]:
-        normals, offsets = _rows(self.normals, self.offsets, cuts)
-        return _lp_support(normals, offsets, _unit(v), self.bound)
+        return _polytope_support(self, v, cuts)
 
     def to_json(self) -> dict:
-        return {
-            "type": "hpoly",
-            "normals": self.normals.tolist(),
-            "offsets": self.offsets.tolist(),
-            "bound": {"lo": self.bound.lo.tolist(), "hi": self.bound.hi.tolist()},
-        }
+        return {"type": "hpoly", "normals": self.normals.tolist(), "offsets": self.offsets.tolist()}
 
 
 @dataclass(frozen=True)
@@ -546,12 +576,7 @@ class Polygon2D(ConvexBody):
         return self.area()
 
     def support(self, v, cuts=()) -> tuple[float, float]:
-        u = _unit(v)
-        if cuts:
-            normals, offsets = _rows(self.normals, self.offsets, cuts)
-            return _lp_support(normals, offsets, u, self.box())
-        proj = self.vertices @ u
-        return float(proj.min()), float(proj.max())
+        return _polytope_support(self, v, cuts)
 
     def to_json(self) -> dict:
         return {"type": "polygon", "vertices": self.vertices.tolist()}
@@ -621,9 +646,9 @@ class AffineImage(ConvexBody):
             raise DimensionError(f"affine data must be ({d},{d}) and ({d},)")
         if not np.all(np.isfinite(m)):
             raise InvalidBodyError("affine matrix must be finite")
-        det = float(np.linalg.det(m))
-        if abs(det) < 1e-12:
-            raise SingularTransformError(f"affine matrix is singular, det = {det!r}")
+        cond = float(np.linalg.cond(m))
+        if cond > SINGULAR_COND:
+            raise SingularTransformError(f"affine matrix is singular, condition number {cond:.3e}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shift", s)
         object.__setattr__(self, "inverse", np.linalg.inv(m))
@@ -870,11 +895,7 @@ def intersect_halfspace(body: ConvexBody, h: Halfspace) -> ConvexBody:
     if h.normal.shape[0] != body.dim:
         raise DimensionError("halfspace dimension does not match the body")
     if isinstance(body, HPolytope):
-        return HPolytope(
-            np.vstack([body.normals, h.normal[None, :]]),
-            np.concatenate([body.offsets, [h.offset]]),
-            _tighten_box(body.bound, h),
-        )
+        return HPolytope(*_rows(body.normals, body.offsets, (h,)))
     return Cut(body, h)
 
 
@@ -896,11 +917,8 @@ def box_body(lo, hi) -> HPolytope:
     box = BoundingBox(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if np.any(box.hi <= box.lo):
         raise InvalidBodyError("box needs hi > lo componentwise")
-    d = box.dim
-    eye = np.eye(d)
-    normals = np.vstack([eye, -eye])
-    offsets = np.concatenate([box.lo, -box.hi])
-    return HPolytope(normals, offsets, box)
+    eye = np.eye(box.dim)
+    return HPolytope(np.vstack([eye, -eye]), np.concatenate([box.lo, -box.hi]))
 
 
 def unit_cube(d: int) -> HPolytope:
@@ -950,8 +968,7 @@ def regular_simplex(d: int, circumradius: float = 1.0) -> HPolytope:
     """Regular simplex as an H-polytope; facet i faces vertex i at offset -R/d."""
     v = regular_simplex_vertices(d, circumradius)
     u = v / np.linalg.norm(v, axis=1, keepdims=True)
-    offsets = np.full(d + 1, -circumradius / d)
-    return HPolytope(u, offsets, BoundingBox(v.min(axis=0), v.max(axis=0)))
+    return HPolytope(u, np.full(d + 1, -circumradius / d))
 
 
 def isotropic_simplex(d: int) -> HPolytope:
@@ -992,9 +1009,7 @@ def simplex_with_hull_point(alpha: float = 1.2) -> tuple[HPolytope, np.ndarray]:
         new_offsets.append(t / norm)
     normals = np.vstack([u[1:], np.array(new_normals)])
     offsets = np.concatenate([np.full(3, -big_r / 3.0), new_offsets])
-    pts = np.vstack([v, xa[None, :]])
-    bound = BoundingBox(pts.min(axis=0), pts.max(axis=0))
-    return HPolytope(normals, offsets, bound), xa
+    return HPolytope(normals, offsets), xa
 
 
 def half_disk_polygon(n_vertices: int = 64) -> Polygon2D:
@@ -1007,22 +1022,6 @@ def half_disk_polygon(n_vertices: int = 64) -> Polygon2D:
 
 # ---------------------------------------------------------------------------
 # JSON serialization
-
-
-def _check_bound(poly: HPolytope) -> None:
-    """Raise unless the stored bound contains the intersection of the halfspaces.
-
-    Rejection sampling proposes from the bound, so a bound that is too small
-    would silently truncate the body. Checked per axis, within VERTEX_TOL,
-    on the extremes of the halfspaces alone; unbounded halfspaces raise.
-    """
-    for j, axis in enumerate(np.eye(poly.dim)):
-        lo, hi = _lp_support(poly.normals, poly.offsets, axis)
-        if lo < poly.bound.lo[j] - VERTEX_TOL or hi > poly.bound.hi[j] + VERTEX_TOL:
-            raise InvalidBodyError(
-                f"hpoly bound [{poly.bound.lo[j]}, {poly.bound.hi[j]}] on axis {j} does not contain "
-                f"the halfspace intersection, which spans [{lo}, {hi}]"
-            )
 
 
 def _number(x) -> float:
@@ -1049,10 +1048,8 @@ def body_from_json(data) -> ConvexBody:
         if kind == "ball":
             return Ball(_floats(data["center"]), _number(data["radius"]))
         if kind == "hpoly":
-            bound = BoundingBox(_floats(data["bound"]["lo"]), _floats(data["bound"]["hi"]))
-            poly = HPolytope(_floats(data["normals"]), _floats(data["offsets"]), bound)
-            _check_bound(poly)
-            return poly
+            # the bound that older files hold is ignored: the polytope derives its own
+            return HPolytope(_floats(data["normals"]), _floats(data["offsets"]))
         if kind == "halfballcone":
             return HalfBallCone(data["d"], _number(data["eps"]), _number(data.get("delta", 0.0)))
         if kind == "polygon":

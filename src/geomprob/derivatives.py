@@ -202,7 +202,7 @@ def detcov_derivative_rhs(fam: CutFamily, t: float, n: int, seed=0) -> MomentEst
 
 def _check_step(fam: CutFamily, t: float, h: float) -> None:
     """Raise ValueError unless h > 0 and K_{t+h} stays within the support: t + h <= b."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
     if t + h > fam.b + 1e-12:
         raise ValueError(f"t + h = {t + h} exceeds the support maximum {fam.b}")

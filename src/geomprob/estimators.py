@@ -26,7 +26,7 @@ from .report import MomentEstimate, hit_or_miss, mean_stderr
 from .sampling import SampleStream, sample_body
 
 BATCH_COUNT = 64
-MIN_COVARIANCE_EIGENVALUE = 1e-9
+MIN_EIGENVALUE_RATIO = 1e-9
 VOLUME_CHUNK = 4096
 
 
@@ -292,13 +292,14 @@ def isotropic_transform(body: ConvexBody, n: int = 10**5, seed=0) -> ConvexBody:
     """Affine image with estimated centroid 0 and covariance the identity.
 
     M is the inverse square root of the covariance estimate (symmetric
-    eigendecomposition) and the shift is -M mu.
+    eigendecomposition) and the shift is -M mu. A covariance whose smallest
+    eigenvalue is at most MIN_EIGENVALUE_RATIO times its largest raises.
     """
     est = covariance_estimate(body, n, seed)
     eigvals, eigvecs = np.linalg.eigh(est.matrix)
-    if float(eigvals.min()) <= MIN_COVARIANCE_EIGENVALUE:
+    if float(eigvals.min()) <= MIN_EIGENVALUE_RATIO * float(eigvals.max()):
         raise SingularTransformError(
-            f"covariance estimate is near-singular (min eigenvalue {eigvals.min():.3e})"
+            f"covariance estimate is near-singular (eigenvalues {eigvals.min():.3e} to {eigvals.max():.3e})"
         )
     m = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
     return affine_image(body, m, -m @ est.centroid)

@@ -29,6 +29,7 @@ from .bodies import (
     Cut,
     HalfBallCone,
     Halfspace,
+    VERTEX_TOL,
     _ball_axis_ppf,
     _rowwise,
     _slab_quantiles,
@@ -354,8 +355,8 @@ def _slice_frame(body: ConvexBody, v, t: float):
     t v and the slice coordinate c_j of x is <u_j, x>. The (d-1)-box is the
     section's exact extent: side j is ``body.support(u_j, cuts)`` with the
     plane pinned by the cuts <v, x> >= t and <-v, x> >= -t, in closed form
-    or by two HiGHS LPs per side. Raises DegenerateBodyError where the plane
-    misses the body.
+    or over the section's vertices; a side no wider than VERTEX_TOL gets zero
+    width. Raises DegenerateBodyError where the plane misses the body.
 
     A HalfBallCone, or a cut of one, has no exact support under cuts; there
     the box is [-r, r]^(d-1), the plane's cut of the sphere about the origin
@@ -383,15 +384,15 @@ def _exact_slice_frame(body: ConvexBody, v: np.ndarray, t: float):
     basis = slice_basis(v)
     plane = (Halfspace(v, t), Halfspace(-v, -t))
     try:
-        ends = np.array([body.support(u, plane) for u in basis])
+        lo, hi = np.array([body.support(u, plane) for u in basis]).T
     except InvalidBodyError:
         big = bounding_box(body).max_norm()
         r2 = big * big - t * t
         # where the plane only grazes the bounding sphere, keep a positive box
         radius = float(np.sqrt(r2)) if r2 > 0 else max(abs(big) * 1e-8, 1e-8)
-        ends = np.tile([-radius, radius], (body.dim - 1, 1))
-    # a section that is a point or an edge may come back with its ends crossed by a rounding
-    return basis, BoundingBox(ends[:, 0], np.maximum(ends[:, 1], ends[:, 0])), t * v
+        lo, hi = np.full(body.dim - 1, -radius), np.full(body.dim - 1, radius)
+    # a section that is a point or an edge has sides of rounding width, or ends crossed by a rounding
+    return basis, BoundingBox(lo, np.where(hi - lo > VERTEX_TOL, hi, lo)), t * v
 
 
 def slice_measure(stream: SampleStream, body: ConvexBody, v, t: float, n: int) -> MomentEstimate:

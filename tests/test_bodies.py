@@ -407,6 +407,77 @@ def test_affine_image_rejects_singular_matrix():
         gp.affine_image(gp.unit_cube(2), np.array([[1.0, 1.0], [1.0, 1.0]]), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_halfspace_rejects_a_non_finite_offset(offset):
+    with pytest.raises(gp.InvalidBodyError, match="finite"):
+        gp.Halfspace(np.array([1.0, 0.0]), offset)
+    with pytest.raises(gp.InvalidBodyError, match="finite"):
+        gp.Halfspace.through([3.0, 4.0], offset)
+    # json writes NaN and Infinity and reads them back as floats
+    cut = {"type": "cut", "base": {"type": "ball", "center": [0, 0], "radius": 1}, "normal": [1, 0], "offset": offset}
+    with pytest.raises(gp.InvalidBodyError, match="finite"):
+        gp.body_from_json(json.dumps(cut))
+
+
+def test_affine_image_judges_singularity_by_scale():
+    ball = gp.Ball(np.zeros(3), 1.0)
+    # det 1.25e-13, but as well conditioned as the identity
+    small = gp.AffineImage(ball, 5e-5 * np.eye(3), np.zeros(3))
+    assert math.isclose(small.volume(), ball.volume() * 5e-5**3, rel_tol=1e-12)
+    with pytest.raises(gp.SingularTransformError):
+        gp.AffineImage(ball, np.diag([1.0, 1.0, 1e-13]), np.zeros(3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(2, 4), extra=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_hpolytope_vertices_are_the_hull_points(d, extra, seed):
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(d + 1 + extra, d))
+    hull = ConvexHull(pts)
+    # qhull's facets are {x : <a, x> + b <= 0}
+    poly = gp.HPolytope(-hull.equations[:, :-1], hull.equations[:, -1])
+    corners = pts[hull.vertices]
+    gap = np.linalg.norm(poly.vertices[:, None, :] - corners[None, :, :], axis=-1)
+    assert gap.min(axis=1).max() <= 1e-12
+    assert gap.min(axis=0).max() <= 1e-12
+    assert np.abs(poly.bound.lo - corners.min(axis=0)).max() <= 1e-12
+    assert np.abs(poly.bound.hi - corners.max(axis=0)).max() <= 1e-12
+    for v in rng.normal(size=(8, d)):
+        proj = corners @ (v / np.linalg.norm(v))
+        lo, hi = poly.support(v)
+        assert abs(lo - proj.min()) <= 1e-12 and abs(hi - proj.max()) <= 1e-12
+
+
+def test_box_body_bound_and_volume_are_its_corners():
+    lo, hi = [-1.0, 0.3, 2.0], [2.5, 0.7, 2.1]
+    box = gp.box_body(lo, hi)
+    assert box.bound.lo.tolist() == lo and box.bound.hi.tolist() == hi
+    assert box.volume() == float(np.prod(np.array(hi) - np.array(lo)))
+    assert len(box.vertices) == 8
+
+
+@pytest.mark.parametrize(
+    "normals, offsets",
+    [
+        ([[1, 0], [0, 1]], [0, 0]),  # a quadrant
+        ([[1, 0], [-1, 0]], [0, -1]),  # a strip: the rows do not span the plane
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, 0]], [0, 0, 0, -1]),  # a prism open along e3
+    ],
+)
+def test_unbounded_hpolytope_raises(normals, offsets):
+    with pytest.raises(gp.InvalidBodyError, match="unbounded"):
+        gp.HPolytope(normals, offsets)
+
+
+def test_empty_hpolytope_raises():
+    with pytest.raises(gp.DegenerateBodyError, match="empty"):
+        gp.HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 0, -1])
+    with pytest.raises(gp.DegenerateBodyError, match="empty"):
+        gp.intersect_halfspace(gp.unit_cube(3), gp.Halfspace.through([1, 1, 1], 3.5))
+
+
 def test_dimension_cap_enforced():
     with pytest.raises(gp.DimensionError):
         gp.Ball(np.zeros(9), 1.0)
@@ -451,10 +522,16 @@ def test_body_from_json_rejects_malformed():
 def test_body_from_json_checks_hpoly_bound():
     square = gp.unit_cube(2).to_json()
     assert isinstance(gp.body_from_json(square), gp.HPolytope)
-    with pytest.raises(gp.InvalidBodyError, match="bound"):
-        gp.body_from_json({**square, "bound": {"lo": [0, 0], "hi": [1, 0.5]}})
     with pytest.raises(gp.InvalidBodyError, match="unbounded"):
         gp.body_from_json({**square, "normals": [[1, 0], [0, 1]], "offsets": [0, 0]})
+
+
+def test_body_from_json_ignores_an_old_hpoly_bound():
+    square = gp.unit_cube(2).to_json()
+    assert "bound" not in square
+    # older files stored a box; one that would truncate the square no longer matters
+    old = gp.body_from_json({**square, "bound": {"lo": [0, 0], "hi": [1, 0.5]}})
+    assert old.bound.hi.tolist() == [1.0, 1.0] and old.volume() == 1.0
 
 
 _SQUARE_JSON = gp.unit_cube(2).to_json()
@@ -465,7 +542,7 @@ NON_NUMERIC_BODIES = {
     "cone": {"type": "halfballcone", "d": 3, "eps": "0.5", "delta": "0.1"},
     "polygon": {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, True]]},
     "cut": {"type": "cut", "base": {"type": "ball", "center": [0, 0], "radius": 1}, "normal": [1, 0], "offset": "0"},
-    "hpoly": {**_SQUARE_JSON, "bound": {"lo": [0, 0], "hi": [1, True]}},
+    "hpoly": {**_SQUARE_JSON, "offsets": [0, 0, -1, True]},
     "affine": {"type": "affine", "base": _SQUARE_JSON, "matrix": [[1, 0], [0, False]], "shift": [0, 0]},
 }
 

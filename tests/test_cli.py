@@ -285,11 +285,10 @@ def test_malformed_body_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_hpoly_bound_that_truncates_the_body_is_usage_error(capsys):
-    square = json.loads(SQUARE)
-    square["bound"]["hi"] = [0.5, 1]
-    assert main(["estimate", "--body", json.dumps(square), "--n", "6400"]) == 2
-    assert "bound" in capsys.readouterr().err
+def test_unbounded_hpoly_is_usage_error(capsys):
+    quadrant = {"type": "hpoly", "normals": [[1, 0], [0, 1]], "offsets": [0, 0]}
+    assert main(["estimate", "--body", json.dumps(quadrant), "--n", "6400"]) == 2
+    assert "unbounded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d", [3.7, "4"])

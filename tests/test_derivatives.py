@@ -252,6 +252,14 @@ def test_finite_difference_validates_step():
         gp.finite_difference(fam, 0.9, 0.5, moment_stat, 1000, seed=41)
 
 
+def test_non_finite_cut_and_step_raise():
+    fam = gp.cut_family(gp.half_ball(3), [1.0, 0.0, 0.0])
+    with pytest.raises(gp.InvalidBodyError, match="finite"):
+        fam.cut(math.nan)
+    with pytest.raises(ValueError, match="step must be positive"):
+        gp.finite_difference(fam, 0.2, math.nan, moment_stat, 1000, seed=41)
+
+
 def test_finite_difference_ball_cap_loss_rate():
     # volume statistic: d/dt vol = -slice area = -pi at the equator
     fam = gp.cut_family(gp.Ball(np.zeros(3), 1.0), [1.0, 0.0, 0.0])

@@ -232,6 +232,19 @@ def test_isotropic_transform_produces_identity_covariance():
     assert np.allclose(cov.centroid, 0.0, atol=0.02)
 
 
+@pytest.mark.parametrize("radius", [1e-5, 1e5])
+def test_isotropic_transform_judges_singularity_by_scale(radius):
+    # the unit ball's covariance is I/5, so the map is about sqrt(5)/radius times the identity
+    iso = gp.isotropic_transform(gp.Ball(np.zeros(3), radius), N_FAST, seed=21)
+    assert np.allclose(iso.matrix * radius / math.sqrt(5.0), np.eye(3), atol=0.02)
+
+
+def test_isotropic_transform_rejects_a_flat_body():
+    # variances 1/12 and 1e-12/12: the ratio is below the floor
+    with pytest.raises(gp.SingularTransformError):
+        gp.isotropic_transform(gp.box_body([0.0, 0.0], [1.0, 1e-6]), N_FAST, seed=22)
+
+
 def test_expectation_estimate_checks_small_n():
     with pytest.raises(ValueError):
         gp.moment_estimate(gp.Ball(np.zeros(2), 1.0), 1, 10, seed=0)

@@ -136,7 +136,7 @@ def test_the_batch_layout_has_one_owner():
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # linprog and ConvexHull are imported by the functions that use them
+    # ConvexHull is imported by the functions that use it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     script = "import json, sys, geomprob; print(json.dumps(sorted(sys.modules)))"
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
@@ -167,3 +167,25 @@ def test_every_public_name_has_a_caller():
     used = set().union(*map(_names_used, files))
     public = {name for name in gp.__all__ if not inspect.ismodule(getattr(gp, name))}
     assert sorted(public - used) == []
+
+
+def test_polytope_geometry_loads_no_solver():
+    # polytope supports, slice frames and cut families come from vertices, not from an LP
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), str(ROOT / "perfbench")]))
+    script = """
+import sys
+import numpy as np
+import geomprob as gp
+import workloads
+workloads.derivative_check(0)
+poly = gp.body_from_json('{"type": "hpoly", "normals": [[1, 0], [0, 1], [-1, -1]], "offsets": [0, 0, -1]}')
+gp.cut_family(poly, [1.0, 1.0])
+sim = gp.isotropic_simplex(3)
+v = np.array([0.6, 0.8, 0.0])
+gp.sample_slice(gp.SampleStream(0, 0), sim, v, 0.3, 100)
+gp.sample_slice(gp.SampleStream(0, 1), gp.Cut(sim, gp.Halfspace(np.array([0.0, 0.0, 1.0]), -0.5)), v, 0.3, 100)
+print("scipy.optimize" in sys.modules)
+"""
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

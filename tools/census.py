@@ -5,7 +5,8 @@
 Runs, under ``sys.settrace`` restricted to ``src/geomprob``:
 
 - ``workloads``: one pass of each benchmark workload's checks, built from
-  ``perfbench/workloads.py`` at the benchmark's scale;
+  ``perfbench/workloads.py`` at the benchmark's scale and run by
+  ``perfbench/run.py``'s ``run_pass``, as the benchmark runs them;
 - ``cli``: every CLI subcommand, and each mode of those that have modes,
   once at a small n;
 - ``criteria`` (with ``--criteria``): the 13 acceptance tests of
@@ -20,8 +21,8 @@ header) or when any statement inside it ran. Docstrings and declarations
 without code (``global``, bare annotations) are not statements here. A
 second list names the statements that only the criteria reach.
 
-The census reads nothing from the workloads' outcomes: a check that fails
-or raises is reported and the census goes on.
+The census reads nothing from the workloads' outcomes: a check that raises
+is counted, its traceback goes to standard error, and the census goes on.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import copy
 import io
 import json
 import os
@@ -89,15 +89,19 @@ def _quietly(fn, *args):
 
 
 def run_workloads(seed: int) -> None:
+    # importing run sets the benchmark's one BLAS thread before numpy loads
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+
+    run.import_geomprob()
     import workloads
 
     for name, build in workloads.WORKLOADS.items():
         t0 = time.perf_counter()
-        plan = build(seed)
-        inputs = copy.deepcopy(plan.inputs)
-        failed = sum(_quietly(check.run, inputs) is None for check in plan.checks)
-        print(f"workload {name}: {len(plan.checks)} checks, {failed} raised, "
+        with contextlib.redirect_stdout(io.StringIO()):
+            results = run.run_pass(build(seed))[1]
+        raised = sum(r.error is not None for r in results)
+        print(f"workload {name}: {len(results)} checks, {raised} raised, "
               f"{time.perf_counter() - t0:.1f} s traced", file=sys.stderr)
 
 
