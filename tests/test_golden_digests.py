@@ -16,8 +16,9 @@ stream changes.
 
 Recorded with numpy 2.4.6 and scipy 1.17.1 on Python 3.11.7. Other
 versions of these libraries may change the last bits of their kernels
-(``ndtri``, ``betainc``, ``betaincinv``, and LAPACK's ``det`` where it is
-still used) and with them some digests. Simplex volumes for d <= 4 are
+(``ndtri``, ``betainc``, ``betaincinv``, LAPACK's ``det`` where it is
+still used, and LAPACK's ``solve``, which gives the polytope vertices) and
+with them some digests. Simplex volumes for d <= 4 are
 closed-form products in numpy, so their digests do not depend on the
 LAPACK build. The slab sampler's axis quantiles are written out at d = 3
 and d = 4 (at d = 4 ``betaincinv`` only seeds a table that two Newton
@@ -252,12 +253,12 @@ CASES.update({f"geometry/{name}": (lambda name=name: _geometry(name)) for name i
 GOLDEN = {
     "derivative/crofton_coordsum": "c67b550a6d6cd855fc534b322990680f940a8599903df1f9a3816d33a4d4679e",
     "derivative/crofton_simplexvol": "02074445b658ffd1684da583e732bb8d710a263c6f9ea4888c363bb9dff3c979",
-    "derivative/detcov_simplex": "c3bb32590e47b8bfc3375929b47a306cbbdc92b4f6561d8c08caca613d377054",
+    "derivative/detcov_simplex": "9f142176dcfaca6971228da7696f157b7a55043e3794ea4ceb397d1ff5d9be6f",
     "derivative/detcov_square": "141390cd01fd0e1cd4e48d7486158f31935fd720acdf49d064aaba7e6db9f8c4",
     "estimate/det_cov": "8beab9300efda60e95cd29c6f3033b2844bd6326e2613c73c0ee2d8846206709",
-    "estimate/det_cov_increase": "0bb038b22a5f055923e1a691d6647b255e0cdc6c126e070fd3567626c83a6774",
+    "estimate/det_cov_increase": "01c674dbd0b9565b47674a3bfd21529d4d6e4334419db9bc17d4af285f00ab7e",
     "estimate/moment": "f36a7cba7cf29d1294813ace6f1e0939b5a5ee5e0ec2205e470ac6fff49878b8",
-    "estimate/slice_measure": "a4539cf149415e03b048deacb8e68442a259a959c77b315a413b64bc8eac11e3",
+    "estimate/slice_measure": "c88aab60b5fe038452ffcf23fc068241c87c48c7f27eeb57aa22ec7a4098bcfe",
     "estimate/slice_measure_d4": "0f4b13a1de5fca310738c8f8f2fa4f54d9dfa64c22393c4a3942a2e3887084ad",
     "estimate/volume": "dbb64cb9d861922da3c0328b96ae5fc04469101c09e7b2e08a98b506bf3f51e9",
     "geometry/affine_half_ball": "091edd25b0503a037bd5b3fbdf2776b9dbb0c74f9eeab0e5afa099787ade1c47",
@@ -266,22 +267,22 @@ GOLDEN = {
     "geometry/ball": "fa33a3f92ae4a38a225abbacfd38e17276db73f38c1ac124bed1f283fc072bd0",
     "geometry/cut_cone": "97a88734109055f6924da8ae723c1b96af29e8e6e957e81a9c61412e7b839b41",
     "geometry/cut_half_ball": "ea65bd9c72808e9050c813de568c01fb28be21435dd76896da5f50c64399d6e3",
-    "geometry/cut_hpoly": "dab278ce83bfa470a89f9c73adba592b3017078a37528c4732de544ea2d3a0d6",
+    "geometry/cut_hpoly": "ba54403820e964e809fd589505fffe4204f025bffc16702ab5fb3dbbe11cd0b3",
     "geometry/cut_slab": "8e634a3e6d89ff76d4bf45d970104e5387b9c85f7464a319494a25fa1bd5a777",
     "geometry/cut_tilted": "a5345d6e4b85889e4206d5a2e82e346356f01e00a1d3d1fada557489a88ee75e",
     "geometry/halfballcone": "1fa28f935086f6d02ba369c23a97d07445fa848c80b534a7520d9b8f71f648eb",
-    "geometry/hpoly_cube": "969941c74302daf1cfd28443f7c636622775f74e0f781e403dd175fd06059ad9",
-    "geometry/hpoly_hull": "03907591b871eb0afacdcaf782d0536b359be8a54cc03b8d55ec1fddc987bb17",
-    "geometry/hpoly_simplex": "63b56920ff877a7e2caed983a3aa093bc885c77a3ea3117a99b5fe567ad4f201",
+    "geometry/hpoly_cube": "a2203470bf26002230aef7ea2ad74fe9dc11d5bad955e5c22c3b3bd9e8ae1cc7",
+    "geometry/hpoly_hull": "a1d2d85f6255182cfa2096c16daf3caf61d7913a6bb58cb6130d018937b7e071",
+    "geometry/hpoly_simplex": "b999ab84e1f0b082e5b0e1d014d0531123b2bab0dd3865bce91490e695d07766",
     "geometry/polygon": "dcd740c946df58e05d40c2ec7d852d71b3830bc04dbd6dfb49f21010498487a6",
     "membership/polygon_boundary": "ea5dbac86c05f856eab744e2ed55a4240fb0b1970087c8b11a57e7de6612a656",
     "sample/ball": "af4fb8fd4a80d722f10408c09dd766af66f311abfdaa14c3b82edf78c39d9b67",
     "sample/base_reject": "bf356216fce0113405b53c1bb50c1c0c46c96ef1eb82e960248b5f514756eef7",
     "sample/base_reject_tilted": "a81cd239c451ff4bffd060ff73dd74a392a14f75b6c97ba117bcd341fa7e23aa",
     "sample/box_reject_affine": "4d3882de76090ccf45281f31e917e5def3cf05441185a5d1afb2be762417c3a0",
-    "sample/box_reject_capped": "cb61c55ae97cc0d17f84cd6107e0241865db896305ae7867bac4ccaa1242a0a9",
+    "sample/box_reject_capped": "6c6d3a6492de63ec05aa995806845a3bf5caf252856a0ff06ac3619e3dae900b",
     "sample/box_reject_polygon": "8d3247d653171942d5db1542d9137ce0001a917a11e3bbdf51304cc5497301d6",
-    "sample/box_reject_simplex": "1ca5381d545d75fd937cc30cb8026ff6acf356d29894d2d827dfa8402c128e53",
+    "sample/box_reject_simplex": "b786e3c2ec2a500bfa3874d9c618cd3eac1571ab4c58c1e31dc6b6893e5d0421",
     "sample/cone": "909c1acdf51fc2297231c086485aa0818882cbc72b0cabddd5e7e41db4a6935c",
     "sample/reflect": "6cca3e896f4e846f5aac832a0c0998986d6b115eefb56e7d609cb635069ed2ff",
     "sample/reflect_affine": "d91eb89de1c8e00277d57a6503b1a89c0c86034b5732438fbee3e841969924fb",
@@ -291,7 +292,7 @@ GOLDEN = {
     "sample/slab_d5": "9a5e50858dc5fcfecfa3ca03b76a2d124fcc831cac9e35a90c4d22ad3018f646",
     "sample/slice": "a2884322eb469f22e99344914ad68ae8ad29975c7410cd4bc28564f6cfdaf3c4",
     "sample/slice_d4": "79464e695192a097c72ac7466f4c41314ff14cbffc247a6f195372d48808ec80",
-    "sample/slice_simplex": "2404307db2d5e4fe46112f45b5ea11f7567e98ede8be8d4f433b359f922bf3a5",
+    "sample/slice_simplex": "682ccb1105cd49f3c6271e573f3b5e49fe1135d3f810b015c1ccd9defdfa4d5b",
     "stream/normal": "cc7660378137af362b9d7f5f3d1836d841debdae895dfc85e864851e702e8ffe",
     "stream/substream": "b08747be3c2a0286e409d0d614842cb63fe916de425ccb1e1d03d8274513018b",
     "stream/uniform": "7876d35df7d632cc0b495dd280cfb9ff895ec2465313d7fce0646aa43851958a",
