@@ -217,7 +217,7 @@ CASES = {
     "sample/slice_d4": lambda: [
         gp.sample_slice(gp.SampleStream(13, 0), gp.half_ball(4), _e(4), 0.1, 2000)
     ],
-    # an LP-built frame, and membership by the (k, m) BLAS product of the facet normals
+    # a vertex-built frame, and membership by the (k, m) BLAS product of the facet normals
     "sample/slice_simplex": lambda: [
         gp.sample_slice(gp.SampleStream(13, 1), gp.isotropic_simplex(3), _oblique(3), 0.3, 2000)
     ],
