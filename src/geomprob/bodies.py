@@ -60,6 +60,47 @@ def _rowwise(op, pts: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None
     return out
 
 
+def _row_norms(pts: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(pts, axis=-1)`` for rows laid out contiguously, one column at a time.
+
+    The norm squares the entries and reduces the last axis with numpy's
+    pairwise sum, which for rows of fewer than 8 entries adds the squares
+    left to right, and from 8 to 128 keeps 8 lanes of running sums, joins them
+    as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) and adds what is
+    left of the row left to right. The same IEEE operations in the same
+    order run here down whole columns, so the norms are numpy's, bit for
+    bit, without its outer loop of one iteration per row. A left-to-right
+    sum of 8 squares would differ in the last bit on about a fifth of the
+    rows. numpy sums Fortran-ordered rows left to right at any length;
+    every point array this package builds is C-ordered.
+    """
+    shape, d = pts.shape[:-1], pts.shape[-1]
+    tmp = np.empty(shape)
+
+    def square(j, out=None):
+        col = pts[..., j]
+        return np.multiply(col, col, out=np.empty(shape) if out is None else out)
+
+    if d < 8:
+        acc, rest = square(0), 1
+    else:
+        lanes = [square(k) for k in range(8)]
+        rest = d - d % 8
+        for start in range(8, rest, 8):
+            for k in range(8):
+                lanes[k] += square(start + k, tmp)
+        for k in (0, 2, 4, 6):
+            lanes[k] += lanes[k + 1]
+        lanes[0] += lanes[2]
+        lanes[4] += lanes[6]
+        acc = lanes[0]
+        acc += lanes[4]
+    for j in range(rest, d):
+        acc += square(j, tmp)
+    # a single row gives a numpy float, as the norm over its last axis did
+    return np.sqrt(acc, out=acc)[()]
+
+
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
@@ -191,16 +232,17 @@ def _rows(normals: np.ndarray, offsets: np.ndarray, cuts) -> tuple[np.ndarray, n
     )
 
 
-def _tight_points(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def _tight_points(normals: np.ndarray, offsets: np.ndarray, subsets=None) -> np.ndarray:
     """Every x with <n_i, x> >= t_i - VERTEX_TOL for all i at which d linearly independent rows are tight.
 
-    The systems of the d-row subsets with condition number at most
-    SINGULAR_COND are solved VERTEX_CHUNK subsets to a batched solve. Of
-    solutions within VERTEX_TOL of each other (more than d tight rows), the
-    best-conditioned one is kept.
+    The systems of the d-row subsets (``subsets``, sorted index tuples, or
+    all of them) with condition number at most SINGULAR_COND are solved
+    VERTEX_CHUNK subsets to a batched solve. Of solutions within VERTEX_TOL
+    of each other (more than d tight rows), the best-conditioned one is kept.
     """
     d = normals.shape[1]
-    subsets = itertools.combinations(range(len(offsets)), d)
+    if subsets is None:
+        subsets = itertools.combinations(range(len(offsets)), d)
     points, conds = [np.empty((0, d))], [np.empty(0)]
     while chunk := list(itertools.islice(subsets, VERTEX_CHUNK)):
         rows = np.array(chunk)
@@ -230,13 +272,16 @@ def _check_bounded(normals: np.ndarray) -> None:
 
     Where the rows span R^d, c = sum_i n_i is positive on the cone's nonzero
     points, so the cone is {0} exactly when its part with <c/|c|, y> >= 1 has
-    no vertex, and at once when c = 0.
+    no vertex, and at once when c = 0. A vertex makes the c/|c| row tight:
+    d rows n_i alone solve N_S y = 0, so y = 0, which misses it. So only the
+    C(m, d - 1) subsets with that row are solved, not all C(m + 1, d).
     """
     m, d = normals.shape
     c = normals.sum(axis=0)
     norm = float(np.linalg.norm(c))
+    with_c = ((*s, m) for s in itertools.combinations(range(m), d - 1))
     if np.linalg.matrix_rank(normals) < d or (
-        norm > 0 and len(_tight_points(np.vstack([normals, c / norm]), np.append(np.zeros(m), 1.0)))
+        norm > 0 and len(_tight_points(np.vstack([normals, c / norm]), np.append(np.zeros(m), 1.0), with_c))
     ):
         raise InvalidBodyError("the halfspaces are unbounded")
 
@@ -363,7 +408,7 @@ class Ball(ConvexBody):
         return self.center.shape[0]
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(_rowwise(np.subtract, pts, self.center), axis=-1) <= self.radius + MEMBERSHIP_ATOL
+        return _row_norms(_rowwise(np.subtract, pts, self.center)) <= self.radius + MEMBERSHIP_ATOL
 
     def box(self) -> BoundingBox:
         return BoundingBox(self.center - self.radius, self.center + self.radius)
@@ -482,10 +527,8 @@ class HalfBallCone(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         x1 = pts[..., 0]
-        in_half = (x1 >= -MEMBERSHIP_ATOL) & (
-            np.linalg.norm(pts, axis=-1) <= 1.0 + MEMBERSHIP_ATOL
-        )
-        radial = np.linalg.norm(pts[..., 1:], axis=-1)
+        in_half = (x1 >= -MEMBERSHIP_ATOL) & (_row_norms(pts) <= 1.0 + MEMBERSHIP_ATOL)
+        radial = _row_norms(pts[..., 1:])
         in_cone = (
             (x1 >= -self.eps + self.delta - MEMBERSHIP_ATOL)
             & (x1 <= MEMBERSHIP_ATOL)

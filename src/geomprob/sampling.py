@@ -31,6 +31,7 @@ from .bodies import (
     Halfspace,
     VERTEX_TOL,
     _ball_axis_ppf,
+    _row_norms,
     _rowwise,
     _slab_quantiles,
     _unit,
@@ -90,19 +91,34 @@ class SampleStream:
         return u[()]
 
     def normal(self, size) -> np.ndarray:
-        return ndtri(self.uniform(size))
+        """Gaussians: ``ndtri`` of one uniform each, applied in place."""
+        u = np.asarray(self.uniform(size))
+        # size None or () gives a numpy float, as uniform does
+        return ndtri(u, out=u)[()]
 
 
 def sample_ball(stream: SampleStream, n: int, d: int, center=None, radius: float = 1.0) -> np.ndarray:
-    """n uniform points in a d-ball via normalized Gaussians times U^(1/d)."""
+    """n uniform points in a d-ball via normalized Gaussians times U^(1/d).
+
+    The (n, d) normals are drawn first, then the n uniforms. Each column of
+    the normals is divided by the norms, multiplied by r and by the radius
+    and shifted by its center coordinate, in place: the same IEEE
+    operations, in the same order, as ``g / norms * r * radius + center``
+    broadcast along the rows, so the points are that formula's, bit for bit.
+    """
     g = stream.normal((n, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = _row_norms(g)
     norms[norms == 0] = 1.0
-    r = stream.uniform((n, 1)) ** (1.0 / d)
-    pts = g / norms * r * radius
-    if center is not None:
-        pts += np.asarray(center, dtype=float)
-    return pts
+    r = stream.uniform(n) ** (1.0 / d)
+    c = None if center is None else np.asarray(center, dtype=float)
+    for j in range(d):
+        col = g[:, j]
+        col /= norms
+        col *= r
+        col *= radius
+        if c is not None:
+            col += c[j]
+    return g
 
 
 def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> np.ndarray:
@@ -119,7 +135,7 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
 
     n_half = int(take_half.sum())
     pts = sample_ball(stream, n_half, d)
-    pts[:, 0] = np.abs(pts[:, 0])
+    np.abs(pts[:, 0], out=pts[:, 0])
     out[take_half] = pts
 
     n_cone = n - n_half
@@ -129,7 +145,8 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
     s = (low + u * (1.0 - low)) ** (1.0 / d)
     cone = np.empty((n_cone, d))
     cone[:, 0] = -eps + s * eps
-    cone[:, 1:] = base * s[:, None]
+    for j in range(1, d):
+        np.multiply(base[:, j - 1], s, out=cone[:, j])
     out[~take_half] = cone
     return out
 
@@ -213,18 +230,25 @@ def _direct_sampler(body: ConvexBody):
         inner = _direct_sampler(body.base)
         if inner is None:
             return None
-        return lambda stream, n: inner(stream, n) @ body.matrix.T + body.shift
+        def image(stream, n):
+            pts = inner(stream, n) @ body.matrix.T
+            return _rowwise(np.add, pts, body.shift, out=pts)
+
+        return image
     if isinstance(body, Cut) and isinstance(body.base, Ball):
         h = body.halfspace
         ball = body.base
         if abs(float(h.normal @ ball.center) - h.offset) <= 1e-12:
-            # hyperplane through the center: reflect the wrong side over
+            # hyperplane through the center: reflect the wrong side over,
+            # subtracting (2 proj) n_j from column j of the wrong rows
             def fn(stream, n, h=h, ball=ball):
                 pts = sample_ball(stream, n, ball.dim, ball.center, ball.radius)
-                rel = pts - ball.center
-                proj = rel @ h.normal
-                wrong = proj < 0
-                pts[wrong] -= 2.0 * proj[wrong, None] * h.normal
+                proj = _rowwise(np.subtract, pts, ball.center) @ h.normal
+                wrong = np.flatnonzero(proj < 0)
+                step = 2.0 * proj[wrong]
+                for j in range(ball.dim):
+                    col = pts[:, j]
+                    col[wrong] -= step * h.normal[j]
                 return pts
 
             return fn
@@ -246,6 +270,12 @@ def _slab_sampler(ball: Ball, axis: np.ndarray, s_lo: float, s_hi: float):
     uniform for the axis and d - 1 normals and one uniform for the section.
     The inverse CDF (``_ball_axis_ppf``) is the closed-form root of a cubic
     at d = 3, a table polished by Newton steps at d = 4, else ``betaincinv``.
+
+    Points are built column by column: the axis part s a_j, plus the
+    section's part ``(section * b) @ basis`` for d - 1 ball points b, then
+    times the ball's radius and plus its center coordinate. These are the
+    IEEE operations of ``center + radius * (s a + (b section) @ basis)``
+    broadcast along the rows, so the points are that formula's, bit for bit.
     """
     d = ball.dim
     sign, q_lo, q_hi = _slab_quantiles(d, s_lo, s_hi)
@@ -257,11 +287,20 @@ def _slab_sampler(ball: Ball, axis: np.ndarray, s_lo: float, s_hi: float):
         u = stream.uniform(n)
         q = q_hi - u * (q_hi - q_lo) if sign < 0 else q_lo + u * (q_hi - q_lo)
         s = sign * _ball_axis_ppf(d, q)
-        pts = s[:, None] * axis[None, :]
+        pts = np.empty((n, d))
+        for j in range(d):
+            np.multiply(s, axis[j], out=pts[:, j])
         if d >= 2:
             section = np.sqrt((1.0 - s) * (1.0 + s))
-            pts += (sample_ball(stream, n, d - 1) * section[:, None]) @ basis
-        return ball.center + ball.radius * pts
+            b = sample_ball(stream, n, d - 1)
+            for k in range(d - 1):
+                b[:, k] *= section
+            pts += b @ basis
+        for j in range(d):
+            col = pts[:, j]
+            col *= ball.radius
+            col += ball.center[j]
+        return pts
 
     return fn
 

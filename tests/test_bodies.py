@@ -1,6 +1,7 @@
 """Membership, volume, and construction invariants for the body types."""
 
 import copy
+import itertools
 import json
 import math
 
@@ -11,7 +12,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import geomprob as gp
-from geomprob.bodies import DIM_CAP, MEMBERSHIP_ATOL, _ball_axis_cdf, _ball_axis_ppf, _inside
+from geomprob.bodies import (
+    DIM_CAP,
+    MEMBERSHIP_ATOL,
+    _ball_axis_cdf,
+    _ball_axis_ppf,
+    _check_bounded,
+    _inside,
+    _row_norms,
+    _tight_points,
+)
 
 MEMBERSHIP_N = 4000
 VOL_REL_TOL = 1e-12
@@ -234,6 +244,57 @@ def test_ball_membership_is_the_broadcast_formula_bit_for_bit(d):
         return np.linalg.norm(x - ball.center, axis=-1) <= ball.radius + MEMBERSHIP_ATOL
 
     _assert_masks_match(ball.contains_batch, reference, pts, d)
+
+
+def _left_to_right_norms(pts):
+    acc = pts[..., 0] * pts[..., 0]
+    for j in range(1, pts.shape[-1]):
+        acc = acc + pts[..., j] * pts[..., j]
+    return np.sqrt(acc)
+
+
+@pytest.mark.parametrize("d", range(1, DIM_CAP + 1))
+def test_row_norms_are_numpys_norm_bit_for_bit(d):
+    # rows of magnitudes 1e-150..1e150, zero rows and zero entries, at every rank
+    rng = np.random.default_rng(60 + d)
+    pts = rng.normal(size=(4096, d)) * 10.0 ** rng.integers(-150, 151, size=(4096, 1))
+    pts[::97] = 0.0
+    pts[1::13, rng.integers(d)] = 0.0
+    for x in (pts, pts[0], pts[1], pts[:0], pts[:4080].reshape(16, 255, d), pts[:5, :].reshape(1, 5, d)):
+        got, want = _row_norms(x), np.linalg.norm(x, axis=-1)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    if d == 8:
+        # numpy joins 8 squares as a pairwise tree, which a left-to-right sum misses
+        assert np.count_nonzero(_left_to_right_norms(pts) != np.linalg.norm(pts, axis=-1)) > 100
+
+
+@pytest.mark.parametrize("d", range(2, DIM_CAP + 1))
+def test_half_ball_cone_membership_is_the_broadcast_formula_bit_for_bit(d):
+    # points an ulp or two about the sphere and about the cone's mantle
+    body = gp.HalfBallCone(d, 0.4, 0.1)
+    rng = np.random.default_rng(70 + d)
+    u = rng.normal(size=(64, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u[:, 0] = np.abs(u[:, 0])
+    sphere = (1.0 + MEMBERSHIP_ATOL) * u
+    x1 = -rng.uniform(0.0, 0.3, size=(64, 1))
+    w = u[:, 1:] / np.linalg.norm(u[:, 1:], axis=1, keepdims=True)
+    mantle = np.hstack([x1, ((x1 + body.eps) / body.eps + MEMBERSHIP_ATOL) * w])
+    pts = np.vstack([_ulp_shell(sphere, u), _ulp_shell(mantle, np.hstack([np.zeros((64, 1)), w])), cloud(71, d, scale=1.2)])
+
+    def reference(x):
+        x1 = x[..., 0]
+        in_half = (x1 >= -MEMBERSHIP_ATOL) & (np.linalg.norm(x, axis=-1) <= 1.0 + MEMBERSHIP_ATOL)
+        radial = np.linalg.norm(x[..., 1:], axis=-1)
+        in_cone = (
+            (x1 >= -body.eps + body.delta - MEMBERSHIP_ATOL)
+            & (x1 <= MEMBERSHIP_ATOL)
+            & (radial <= (x1 + body.eps) / body.eps + MEMBERSHIP_ATOL)
+        )
+        return in_half | in_cone
+
+    _assert_masks_match(body.contains_batch, reference, pts, d)
 
 
 @pytest.mark.parametrize(
@@ -469,6 +530,47 @@ def test_box_body_bound_and_volume_are_its_corners():
 def test_unbounded_hpolytope_raises(normals, offsets):
     with pytest.raises(gp.InvalidBodyError, match="unbounded"):
         gp.HPolytope(normals, offsets)
+
+
+def _bounded_by_all_subsets(normals) -> bool:
+    """The boundedness verdict from every d-row subset of the rows and the c/|c| row."""
+    m, d = normals.shape
+    c = normals.sum(axis=0)
+    norm = float(np.linalg.norm(c))
+    return not (
+        np.linalg.matrix_rank(normals) < d
+        or (norm > 0 and len(_tight_points(np.vstack([normals, c / norm]), np.append(np.zeros(m), 1.0))))
+    )
+
+
+def _bounded(normals) -> bool:
+    try:
+        _check_bounded(normals)
+    except gp.InvalidBodyError as err:
+        assert "unbounded" in str(err)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_boundedness_check_gives_the_verdicts_of_all_subsets(d):
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(80 + d)
+    cases = []
+    for k in range(3):
+        hull = ConvexHull(rng.normal(size=(d + 2 + k, d)))
+        rows = -hull.equations[:, :-1]
+        cases.append((rows, True))
+        # dropping the rows facing one way opens the hull
+        cases.append((rows[rows @ rng.normal(size=d) <= 0], False))
+    eye = np.eye(d)
+    cases += [(eye, False), (np.vstack([eye, -eye]), True), (np.vstack([eye, -np.ones(d) / math.sqrt(d)]), True)]
+    cases += [(np.vstack([eye, -eye[:-1]]), False), (np.vstack([eye[:-1], -eye[:-1]]), False)]
+    for rows, bounded in cases:
+        if not bounded:
+            assert not _bounded_by_all_subsets(rows)
+        assert _bounded(rows) == _bounded_by_all_subsets(rows)
 
 
 def test_empty_hpolytope_raises():

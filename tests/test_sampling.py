@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import chi2
 
 import geomprob as gp
 from geomprob import derivatives, sampling
-from geomprob.bodies import parallel_slab_params
+from geomprob.bodies import _ball_axis_ppf, _slab_quantiles, parallel_slab_params
 from geomprob.report import hit_or_miss
 from geomprob.sampling import REJECTION_BATCH, _reject, _rejection_sample, _slice_frame
 
@@ -500,6 +501,142 @@ def test_box_uniform_is_the_broadcast_formula_bit_for_bit(d):
         want = lo + gp.SampleStream(41, d).uniform((m, d)) * (hi - lo)
         assert got.shape == (m, d) and got.flags.c_contiguous
         assert np.array_equal(_bits(got), _bits(want))
+
+
+# ---------------------------------------------------------------------------
+# the direct samplers against their broadcast formulas, bit for bit
+
+SIZES = (1, 7, 4096)
+
+
+@pytest.mark.parametrize("size", [None, ()])
+def test_scalar_normal_is_a_numpy_float(size):
+    x = gp.SampleStream(42, 1).normal(size)
+    assert type(x) is np.float64
+    assert x.tobytes() == ndtri(gp.SampleStream(42, 1).uniform(size)).tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, (3, 4), (2, 3, 5)])
+def test_normal_is_ndtri_of_the_uniforms(size):
+    a, b = gp.SampleStream(43, 2), gp.SampleStream(43, 2)
+    for _ in range(2):
+        got, want = a.normal(size), ndtri(b.uniform(size))
+        assert got.shape == np.shape(want) and np.array_equal(_bits(got), _bits(want))
+
+
+def _sample_ball_reference(stream, n, d, center=None, radius=1.0):
+    g = ndtri(stream.uniform((n, d)))
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    r = stream.uniform((n, 1)) ** (1.0 / d)
+    pts = g / norms * r * radius
+    if center is not None:
+        pts += np.asarray(center, dtype=float)
+    return pts
+
+
+def _reflect_reference(stream, n, ball, h):
+    pts = _sample_ball_reference(stream, n, ball.dim, ball.center, ball.radius)
+    proj = (pts - ball.center) @ h.normal
+    wrong = proj < 0
+    pts[wrong] -= 2.0 * proj[wrong, None] * h.normal
+    return pts
+
+
+def _slab_reference(stream, n, body):
+    ball, axis, s_lo, s_hi = parallel_slab_params(body)
+    d = ball.dim
+    sign, q_lo, q_hi = _slab_quantiles(d, s_lo, s_hi)
+    u = stream.uniform(n)
+    q = q_hi - u * (q_hi - q_lo) if sign < 0 else q_lo + u * (q_hi - q_lo)
+    s = sign * _ball_axis_ppf(d, q)
+    pts = s[:, None] * axis[None, :]
+    if d >= 2:
+        section = np.sqrt((1.0 - s) * (1.0 + s))
+        pts += (_sample_ball_reference(stream, n, d - 1) * section[:, None]) @ sampling.slice_basis(axis)
+    return ball.center + ball.radius * pts
+
+
+def _cone_reference(stream, n, body):
+    d, eps, delta = body.d, body.eps, body.delta
+    take_half = stream.uniform(n) < gp.kappa(d).to_float() / 2.0 / body.volume()
+    out = np.empty((n, d))
+    pts = _sample_ball_reference(stream, int(take_half.sum()), d)
+    pts[:, 0] = np.abs(pts[:, 0])
+    out[take_half] = pts
+    n_cone = n - len(pts)
+    base = _sample_ball_reference(stream, n_cone, d - 1)
+    low = (delta / eps) ** d
+    s = (low + stream.uniform(n_cone) * (1.0 - low)) ** (1.0 / d)
+    cone = np.empty((n_cone, d))
+    cone[:, 0] = -eps + s * eps
+    cone[:, 1:] = base * s[:, None]
+    out[~take_half] = cone
+    return out
+
+
+def _assert_sampler_is(body, reference, seed):
+    for n in SIZES:
+        got = gp.sample_body(gp.SampleStream(seed, n), body, n)
+        want = reference(gp.SampleStream(seed, n), n)
+        assert got.shape == (n, body.dim) and got.flags.c_contiguous
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sample_ball_is_the_broadcast_formula_bit_for_bit(d):
+    center = np.random.default_rng(90 + d).normal(size=d)
+    for c, radius in ((None, 1.0), (None, 0.37), (center, 2.9)):
+        for n in (0, *SIZES):
+            got = sampling.sample_ball(gp.SampleStream(91, d), n, d, c, radius)
+            want = _sample_ball_reference(gp.SampleStream(91, d), n, d, c, radius)
+            assert got.shape == (n, d) and got.flags.c_contiguous
+            assert np.array_equal(_bits(got), _bits(want))
+    ball = gp.Ball(center, 2.9)
+    _assert_sampler_is(ball, lambda stream, n: _sample_ball_reference(stream, n, d, center, 2.9), 92)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_reflection_sampler_is_the_broadcast_formula_bit_for_bit(d):
+    rng = np.random.default_rng(93 + d)
+    ball = gp.Ball(rng.normal(size=d), 1.6)
+    for normal in (np.eye(d)[d - 1], rng.normal(size=d)):
+        body = gp.Cut(ball, gp.Halfspace.through(normal, float(normal @ ball.center)))
+        _assert_sampler_is(body, lambda stream, n: _reflect_reference(stream, n, ball, body.halfspace), 94)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("lo, hi", [(0.3, None), (None, -0.2), (-0.6, 0.1), (0.2, 0.8), (-0.9, -0.4)])
+def test_slab_sampler_is_the_broadcast_formula_bit_for_bit(d, lo, hi):
+    # one- and two-sided slabs, at either end, so the quantile interval is mirrored or not
+    rng = np.random.default_rng(95 + d)
+    axis = rng.normal(size=d)
+    axis /= np.linalg.norm(axis)
+    ball = gp.Ball(rng.normal(size=d), 1.3)
+    body = ball
+    if lo is not None:
+        body = gp.Cut(body, gp.Halfspace(axis, float(axis @ ball.center) + lo * ball.radius))
+    if hi is not None:
+        body = gp.Cut(body, gp.Halfspace(-axis, -float(axis @ ball.center) - hi * ball.radius))
+    assert sampling._direct_sampler(body) is not None and parallel_slab_params(body) is not None
+    _assert_sampler_is(body, lambda stream, n: _slab_reference(stream, n, body), 96)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cone_sampler_is_the_broadcast_formula_bit_for_bit(d):
+    body = gp.HalfBallCone(d, 0.5, 0.15)
+    _assert_sampler_is(body, lambda stream, n: _cone_reference(stream, n, body), 97)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_affine_sampler_is_the_broadcast_formula_bit_for_bit(d):
+    body = gp.isotropic_half_ball(d)
+    cut = body.base
+
+    def reference(stream, n):
+        return _reflect_reference(stream, n, cut.base, cut.halfspace) @ body.matrix.T + body.shift
+
+    _assert_sampler_is(body, reference, 98)
 
 
 def _reject_reference(n, d, propose, accept, round_size):
