@@ -253,9 +253,10 @@ def _left_to_right_norms(pts):
     return np.sqrt(acc)
 
 
-@pytest.mark.parametrize("d", range(1, DIM_CAP + 1))
+@pytest.mark.parametrize("d", [*range(1, DIM_CAP + 1), 9, 16, 19])
 def test_row_norms_are_numpys_norm_bit_for_bit(d):
-    # rows of magnitudes 1e-150..1e150, zero rows and zero entries, at every rank
+    # rows of magnitudes 1e-150..1e150, zero rows and zero entries, at every rank;
+    # past DIM_CAP, whole blocks of 8 and a remainder after them
     rng = np.random.default_rng(60 + d)
     pts = rng.normal(size=(4096, d)) * 10.0 ** rng.integers(-150, 151, size=(4096, 1))
     pts[::97] = 0.0
