@@ -6,18 +6,21 @@ experiment can split work into independent substreams without bookkeeping.
 The (seed, index) pair is mixed through the splitmix64 finalizer and keys a
 Philox counter generator.
 
-A uniform is the top 53 bits of one raw 64-bit Philox word, plus 1/2, times
-2^-53, so it lies strictly inside (0, 1). These are the integers that
-``Generator.integers(0, 2**53)`` draws from the same bit generator, so the
-stream is the one that form gave, bit for bit. Gaussians come from the
-inverse normal CDF applied to these uniforms, not from rejection, so the
-stream consumption per variate is constant and results cannot shift when
-the underlying generator version changes its ziggurat tables.
+A uniform is the top 53 bits k of one raw 64-bit Philox word, as
+fl(k + 1/2) times 2^-53, so it lies in (0, 1]: the top word, k = 2^53 - 1,
+rounds to even and gives exactly 1.0, with probability 2^-53 per draw.
+These are the integers that ``Generator.integers(0, 2**53)`` draws from the
+same bit generator, so the stream is the one that form gave, bit for bit.
+Gaussians come from the inverse normal CDF applied to these uniforms, not
+from rejection, so the stream consumption per variate is constant and
+results cannot shift when the underlying generator version changes its
+ziggurat tables; a uniform of 1.0 gives a Gaussian of +inf.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from . import exact
@@ -68,25 +71,50 @@ def stream_key(seed: int, index: int) -> int:
     return splitmix64((seed + GOLDEN_GAMMA * (index + 1)) & MASK64)
 
 
+class _Key(ISeedSequence):
+    """The seed of ``Philox(_Key(k))``: key words [k, 0], as ``Philox(key=k)``.
+
+    Philox asks its seed for two 64-bit words and uses them as its key, with
+    a zero counter, so the generator is the one ``Philox(key=k)`` builds;
+    that form also builds a ``SeedSequence`` from OS entropy and discards it.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a stream key is two 64-bit words, not {n_words} of {np.dtype(dtype)}")
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
 class SampleStream:
     """One independent substream of uniforms, normals, and body samples."""
 
     def __init__(self, seed: int, index: int = 0):
         self.seed = int(seed) & MASK64
         self.index = int(index)
-        self._bits = np.random.Philox(key=stream_key(self.seed, self.index))
+        self._gen = np.random.Generator(np.random.Philox(_Key(stream_key(self.seed, self.index))))
 
     def substream(self, index: int) -> "SampleStream":
         """Independent child stream; children of distinct indices never collide."""
         return SampleStream(stream_key(self.seed, self.index) ^ GOLDEN_GAMMA, index)
 
     def uniform(self, size) -> np.ndarray:
-        """Uniforms in (0, 1): the top 53 bits of one raw Philox word, plus 1/2, times 2^-53."""
-        raw = np.asarray(self._bits.random_raw(size), dtype=np.uint64)
-        raw >>= 11
-        u = raw.astype(np.float64)
-        u += 0.5
-        u *= 1.0 / (1 << 53)
+        """Uniforms in (0, 1]: fl(k + 1/2) times 2^-53, for the top 53 bits k of one Philox word each.
+
+        ``Generator.random`` fills the array with k 2^-53, k = word >> 11,
+        which is exact, and one pass adds 2^-54. Scaling by 2^-53 is exact
+        both ways, so rounding commutes with it: fl(k 2^-53 + 2^-54) =
+        fl(k + 1/2) 2^-53. One word is drawn per value, so the stream's
+        position after each draw is that of ``Generator.integers(0, 2**53)``.
+        The top word, k = 2^53 - 1, rounds to even and gives exactly 1.0.
+        """
+        u = np.empty(() if size is None else size)
+        self._gen.random(out=u)
+        u += 2.0**-54
         # size None or () gives a numpy float, not a 0-d array
         return u[()]
 
@@ -127,16 +155,19 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
     The frustum is the cone from apex (-eps, 0, ...) with its tip below
     x_1 = -eps + delta removed; radial scaling s about the apex is drawn
     from the exact cone volume profile.
+
+    The two pieces are placed column by column through the piece masks,
+    which gives the array that ``out[take_half] = pts`` and
+    ``out[~take_half] = cone`` give, without scattering whole rows.
     """
     d, eps, delta = body.d, body.eps, body.delta
     p_half = exact.kappa(d).to_float() / 2.0 / body.volume()
     take_half = stream.uniform(n) < p_half
-    out = np.empty((n, d))
+    take_cone = ~take_half
 
     n_half = int(take_half.sum())
     pts = sample_ball(stream, n_half, d)
     np.abs(pts[:, 0], out=pts[:, 0])
-    out[take_half] = pts
 
     n_cone = n - n_half
     base = sample_ball(stream, n_cone, d - 1)
@@ -147,7 +178,11 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
     cone[:, 0] = -eps + s * eps
     for j in range(1, d):
         np.multiply(base[:, j - 1], s, out=cone[:, j])
-    out[~take_half] = cone
+    out = np.empty((n, d))
+    for j in range(d):
+        col = out[:, j]
+        col[take_half] = pts[:, j]
+        col[take_cone] = cone[:, j]
     return out
 
 
