@@ -1,5 +1,6 @@
 """Stream reproducibility and uniformity of the body samplers."""
 
+import copy
 import math
 import warnings
 
@@ -52,6 +53,83 @@ def test_uniform_is_the_generator_integer_stream():
         # size None or () gives a numpy float, as the Generator form did
         assert type(got) is type(expected)
         assert np.array_equal(got, expected)
+
+
+def test_uniform_offset_form_is_the_half_integer_form():
+    # fl(k 2^-53 + 2^-54) == fl(k + 1/2) 2^-53 for every 53-bit k: the edges,
+    # the rounding boundary at 2^52 and 10^6 random k
+    edges = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    k = np.concatenate([edges, np.random.default_rng(22).integers(0, 1 << 53, size=10**6, dtype=np.uint64)])
+    old = (k.astype(np.float64) + 0.5) * 2.0**-53
+    new = k.astype(np.float64) * 2.0**-53 + 2.0**-54
+    assert np.array_equal(_bits(old), _bits(new))
+    assert 0.0 < old.min() and old.max() <= 1.0
+    # the top word rounds to even: the one uniform of 1.0, whose normal is +inf
+    assert old[len(edges) - 1] == 1.0 and ndtri(old[len(edges) - 1]) == np.inf
+    assert old[len(edges) - 2] < 1.0
+
+
+def _unshift(z: int, s: int) -> int:
+    """The x with x ^ (x >> s) == z, on 64 bits."""
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ (x >> s)
+    return x
+
+
+def _seed_keyed(key: int) -> int:
+    """The seed whose stream 0 has Philox key ``key``: splitmix64 run backwards."""
+    mask = 2**64 - 1
+    z = _unshift(key, 31)
+    z = z * pow(sampling.MIX_MULT_2, -1, 1 << 64) & mask
+    z = _unshift(z, 27)
+    z = z * pow(sampling.MIX_MULT_1, -1, 1 << 64) & mask
+    z = _unshift(z, 30)
+    return (z - sampling.GOLDEN_GAMMA) & mask
+
+
+def _same_state(a: dict, b: dict) -> bool:
+    if a.keys() != b.keys():
+        return False
+    return all(_same_state(a[k], b[k]) if isinstance(a[k], dict) else np.array_equal(a[k], b[k]) for k in a)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1])
+def test_stream_philox_is_the_one_keyed_by_key(key):
+    seed = _seed_keyed(key)
+    assert gp.stream_key(seed, 0) == key
+    got = gp.SampleStream(seed, 0)._gen.bit_generator.state
+    assert _same_state(got, np.random.Philox(key=key).state)
+    assert _same_state(np.random.Philox(sampling._Key(key)).state, np.random.Philox(key=key).state)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(1, np.uint64), (4, np.uint64), (2, np.uint32), (4, np.uint32), (2, np.int64)])
+def test_stream_key_seed_gives_only_two_64_bit_words(n_words, dtype):
+    with pytest.raises(ValueError, match="two 64-bit words"):
+        sampling._Key(5).generate_state(n_words, dtype)
+
+
+def test_uniform_draws_continue_one_long_draw():
+    sizes = (0, None, (), 1, 3, 5, 4097, (13, 3))
+    counts = [int(np.prod(() if size is None else size)) for size in sizes]
+    total = sum(counts)
+    whole = gp.SampleStream(43, 2).uniform(total + 17)
+    stream = gp.SampleStream(43, 2)
+    pieces = []
+    for size in sizes:
+        got = stream.uniform(size)
+        assert np.shape(got) == (() if size is None else np.empty(size).shape)
+        pieces.append(np.ravel(got))
+    assert np.array_equal(_bits(np.concatenate(pieces)), _bits(whole[:total]))
+    assert np.array_equal(_bits(stream.uniform(17)), _bits(whole[total:]))
+
+
+def test_deepcopy_of_a_stream_continues_it():
+    stream = gp.SampleStream(44, 1)
+    stream.uniform(6)  # part of a Philox block stays buffered
+    clone = copy.deepcopy(stream)
+    assert np.array_equal(_bits(clone.uniform(11)), _bits(stream.uniform(11)))
+    assert np.array_equal(_bits(clone.normal((3, 2))), _bits(stream.normal((3, 2))))
 
 
 def test_substreams_do_not_depend_on_draw_order():
@@ -626,6 +704,14 @@ def test_slab_sampler_is_the_broadcast_formula_bit_for_bit(d, lo, hi):
 def test_cone_sampler_is_the_broadcast_formula_bit_for_bit(d):
     body = gp.HalfBallCone(d, 0.5, 0.15)
     _assert_sampler_is(body, lambda stream, n: _cone_reference(stream, n, body), 97)
+
+
+@pytest.mark.parametrize("d, eps, delta", [(2, 1e-3, 0.0), (4, 1e-3, 5e-4), (2, 5e3, 0.0), (4, 100.0, 50.0)])
+def test_cone_sampler_at_extreme_piece_shares(d, eps, delta):
+    # half-ball shares from 0.9996 down to 3e-4: at the small sizes one
+    # piece is empty
+    body = gp.HalfBallCone(d, eps, delta)
+    _assert_sampler_is(body, lambda stream, n: _cone_reference(stream, n, body), 99)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
