@@ -163,7 +163,6 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
     d, eps, delta = body.d, body.eps, body.delta
     p_half = exact.kappa(d).to_float() / 2.0 / body.volume()
     take_half = stream.uniform(n) < p_half
-    take_cone = ~take_half
 
     n_half = int(take_half.sum())
     pts = sample_ball(stream, n_half, d)
@@ -179,6 +178,7 @@ def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> 
     for j in range(1, d):
         np.multiply(base[:, j - 1], s, out=cone[:, j])
     out = np.empty((n, d))
+    take_cone = ~take_half
     for j in range(d):
         col = out[:, j]
         col[take_half] = pts[:, j]
