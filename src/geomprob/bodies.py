@@ -144,7 +144,7 @@ class Halfspace:
         return Halfspace(n / norm, float(offset) / norm)
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.normal >= self.offset - MEMBERSHIP_ATOL
+        return _product(pts, self.normal) >= self.offset - MEMBERSHIP_ATOL
 
 
 @dataclass(frozen=True)
@@ -191,20 +191,38 @@ class BoundingBox:
         return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
 
     def uniform(self, stream, m: int) -> np.ndarray:
-        """m points uniform in the box, from one (m, dim) draw of ``stream.uniform``.
+        """m points uniform in the box, from one (m, dim) draw of ``stream.uniform``, placed by ``place``."""
+        return self.place(stream.uniform((m, self.dim)))
 
-        Scaled and shifted in place, column by column as in ``_rowwise``:
+    def place(self, u: np.ndarray) -> np.ndarray:
+        """Unit-cube points u, shape (m, dim), mapped into the box in place.
+
+        Scaled and shifted column by column as in ``_rowwise``:
         u * (hi - lo) + lo is the same IEEE result as lo + u * (hi - lo).
         Both ops run on one column view in turn, which at d = 2..4 and
         m = 1,024..4,096 takes 5-8 us less than two ``_rowwise`` calls.
         """
-        u = stream.uniform((m, self.dim))
         w, lo = self._widths, self.lo
         for j in range(self.dim):
             c = u[:, j]
             c *= w[j]
             c += lo[j]
         return u
+
+
+def _product(pts: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``pts @ mat`` for (m, d) points, with a batch of one point taken as two equal rows.
+
+    numpy sends a product with a single row to a matrix-vector or a dot
+    kernel, whose last bits can differ from those of the matrix kernel
+    that two or more rows take; two rows give each row what any longer
+    block gives it. So a point's product in a batch does not depend on how
+    many points the batch holds. Other shapes, a lone (d,) point among
+    them, take numpy's product as it is.
+    """
+    if pts.ndim == 2 and len(pts) == 1:
+        return (np.vstack([pts, pts]) @ mat)[:1]
+    return pts @ mat
 
 
 def _inside(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -215,11 +233,14 @@ def _inside(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.nda
     of across a short last axis. OpenBLAS forms each projection by the same
     length-d dot product in either layout, so the mask is the one
     ``np.all(pts @ normals.T >= offsets - MEMBERSHIP_ATOL, axis=-1)`` gives,
-    bit for bit; the tests pin this at one and at two BLAS threads.
+    bit for bit; the tests pin this at one and at two BLAS threads. A batch
+    of one point is projected as two equal columns, for the reason
+    ``_product`` gives, so a batch's mask does not depend on its size.
     """
     flat = pts.reshape(-1, normals.shape[1])
-    proj = normals @ flat.T
-    ok = np.logical_and.reduce(proj >= (offsets - MEMBERSHIP_ATOL)[:, None], axis=0)
+    m = len(flat)
+    proj = normals @ (np.vstack([flat, flat]) if m == 1 and pts.ndim == 2 else flat).T
+    ok = np.logical_and.reduce(proj >= (offsets - MEMBERSHIP_ATOL)[:, None], axis=0)[:m]
     # a single point gives a numpy bool, as np.all over its last axis did
     return ok.reshape(pts.shape[:-1])[()]
 
@@ -701,7 +722,7 @@ class AffineImage(ConvexBody):
         return self.base.dim
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return self.base.contains_batch(_rowwise(np.subtract, pts, self.shift) @ self.inverse.T)
+        return self.base.contains_batch(_product(_rowwise(np.subtract, pts, self.shift), self.inverse.T))
 
     def box(self) -> BoundingBox:
         c = self.base.box().corners() @ self.matrix.T + self.shift

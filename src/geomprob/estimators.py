@@ -2,7 +2,9 @@
 
 Every estimator is a pure function of (body, parameters, seed): batch b of
 an estimate always draws from substream b of the seed, so results are
-identical no matter how batches would be scheduled. Standard errors come
+identical no matter how batches would be scheduled; consecutive batches
+are drawn in cache-sized groups (``_batches``), each member drawing what it
+would draw alone. Standard errors come
 from batch means over a fixed 64-batch layout; determinant standard errors
 come from a delete-one-batch jackknife on the same layout.
 
@@ -23,7 +25,7 @@ import numpy as np
 from .bodies import ConvexBody, Halfspace, affine_image, bounding_box
 from .errors import DegenerateBodyError, NonIsotropicBodyError, SingularTransformError
 from .report import MomentEstimate, hit_or_miss, mean_stderr
-from .sampling import SampleStream, sample_body
+from .sampling import GROUP_VALUES, SampleStream, _box_points, sample_body
 
 BATCH_COUNT = 64
 MIN_EIGENVALUE_RATIO = 1e-9
@@ -49,20 +51,32 @@ def _resolve_stream(seed) -> SampleStream:
     return SampleStream(int(seed), 0)
 
 
-def _batches(n: int, stream: SampleStream, draw, reduce) -> tuple[list, int]:
-    """The batch layout of every estimator: reduce(draw(substream b, m)) for b in batch order, and m = n // BATCH_COUNT.
+def _batches(n: int, stream: SampleStream, draw, reduce, width: int) -> tuple[list, int]:
+    """The batch layout of every estimator: reduce(batch b's m tuples) for b in batch order, and m = n // BATCH_COUNT.
 
-    A batch's draw stays alive until the next batch is drawn. Freed before
+    Batch b draws from substream b. Consecutive batches are drawn in groups
+    of G: ``draw(streams, m)`` gives the m tuples of each of the G streams
+    in turn, stacked along the first axis, and ``reduce`` runs on each
+    batch's C-contiguous rows of that block in turn. A tuple holds
+    ``width`` values, and G is the most batches whose values fit in
+    GROUP_VALUES, at least 1, so that a group's points stay in cache.
+    Every draw that ``draw`` makes for a group is each member's own draw
+    (see ``sample_body``), so no estimate depends on the grouping.
+
+    A group's block stays alive until the next group is drawn. Freed before
     that, it lets glibc trim the heap after every batch and fault it back in
     on the next draw, which made moment estimates at n = 160,000 15% slower.
     """
     m = n // BATCH_COUNT
     if m < 1:
         raise ValueError(f"need at least {BATCH_COUNT} samples, got {n}")
+    g = max(1, GROUP_VALUES // (m * width))
+    streams = [stream.substream(b) for b in range(BATCH_COUNT)]
     out = []
-    for b in range(BATCH_COUNT):
-        pts = draw(stream.substream(b), m)
-        out.append(reduce(pts))
+    for start in range(0, BATCH_COUNT, g):
+        group = streams[start : start + g]
+        block = draw(group, m)
+        out += [reduce(block[i * m : (i + 1) * m]) for i in range(len(group))]
     return out, m
 
 
@@ -154,10 +168,11 @@ def expectation_estimate(body: ConvexBody, fn, arity: int, n: int, seed) -> Mome
     """
     d = body.dim
 
-    def draw(sub: SampleStream, m: int) -> np.ndarray:
-        return sample_body(sub, body, m * arity).reshape(m, arity, d)
+    def draw(streams: list, m: int) -> np.ndarray:
+        rows = len(streams) * m
+        return sample_body(streams, body, rows * arity).reshape(rows, arity, d)
 
-    means, m = _batches(n, _resolve_stream(seed), draw, lambda pts: float(np.mean(fn(pts))))
+    means, m = _batches(n, _resolve_stream(seed), draw, lambda pts: float(np.mean(fn(pts))), arity * d)
     return MomentEstimate(*mean_stderr(np.array(means)), m * BATCH_COUNT)
 
 
@@ -204,7 +219,10 @@ def _moment_sums(body: ConvexBody, n: int, stream: SampleStream, halfspace: Half
             return sums(pts)
         return sums(pts) + sums(pts[halfspace.contains_batch(pts)])
 
-    per_batch, _ = _batches(n, stream, lambda sub, m: sample_body(sub, body, m), batch_sums)
+    def draw(streams: list, m: int) -> np.ndarray:
+        return sample_body(streams, body, len(streams) * m)
+
+    per_batch, _ = _batches(n, stream, draw, batch_sums, body.dim)
     return tuple(np.array(column) for column in zip(*per_batch))
 
 
@@ -273,7 +291,10 @@ def volume_estimate(body: ConvexBody, n: int = 10**5, seed=0) -> MomentEstimate:
     if box_vol <= 0:
         raise DegenerateBodyError("bounding box has zero volume")
 
-    rates, m = _batches(n, _resolve_stream(seed), box.uniform, lambda pts: float(body.contains_batch(pts).mean()))
+    def draw(streams: list, m: int) -> np.ndarray:
+        return body.contains_batch(_box_points(box, streams, [m] * len(streams)))
+
+    rates, m = _batches(n, _resolve_stream(seed), draw, lambda hits: float(hits.mean()), box.dim)
     return hit_or_miss(float(np.array(rates).mean()), m * BATCH_COUNT, box_vol)
 
 

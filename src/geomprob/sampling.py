@@ -19,6 +19,9 @@ ziggurat tables; a uniform of 1.0 gives a Gaussian of +inf.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
@@ -50,6 +53,7 @@ MIX_MULT_1 = 0xBF58476D1CE4E5B9
 MIX_MULT_2 = 0x94D049BB133111EB
 
 REJECTION_BATCH = 65536
+GROUP_VALUES = 16384  # values one rejection block, or one group of estimator batches, holds at most
 MAX_CONSECUTIVE_MISSES = 10**6
 ROUND_MARGIN = 1.15
 ROUND_SLACK = 32
@@ -133,10 +137,19 @@ def sample_ball(stream: SampleStream, n: int, d: int, center=None, radius: float
     and shifted by its center coordinate, in place: the same IEEE
     operations, in the same order, as ``g / norms * r * radius + center``
     broadcast along the rows, so the points are that formula's, bit for bit.
+
+    A uniform of 1.0 gives a normal of +inf, and inf / inf would make that
+    row NaN. A row of infinite norm is given its limit direction instead:
+    +-1 on its infinite coordinates and 0 elsewhere, over its norm. Rows of
+    finite norm are untouched.
     """
     g = stream.normal((n, d))
     norms = _row_norms(g)
     norms[norms == 0] = 1.0
+    far = np.flatnonzero(np.isinf(norms))
+    if len(far):
+        g[far] = np.where(np.isinf(g[far]), np.sign(g[far]), 0.0)
+        norms[far] = _row_norms(g[far])
     r = stream.uniform(n) ** (1.0 / d)
     c = None if center is None else np.asarray(center, dtype=float)
     for j in range(d):
@@ -201,58 +214,88 @@ def _rate_sized(missing: int, tried: int, kept: int) -> int:
     return min(REJECTION_BATCH, int(missing * tried / kept * ROUND_MARGIN) + ROUND_SLACK)
 
 
-def _reject(n: int, d: int, propose, accept, source: str, round_size) -> np.ndarray:
-    """The first n accepted proposals, in proposal order.
+def _reject(streams, n: int, d: int, propose, accept, source: str, round_size) -> np.ndarray:
+    """For each of the G streams, the first n accepted of its own proposals, in proposal order: (G n, d).
 
-    ``propose(m)`` draws m candidate points and ``accept(pts)`` masks the
-    ones to keep; ``source`` ends the message of the starvation error.
-    ``round_size(missing, tried, kept)`` gives m for the next round from the
-    points still missing and the proposals tried and kept so far.
+    Rows [i n, (i + 1) n) are stream i's points, so a group of one is the
+    n points of one stream. ``propose(streams, sizes)`` draws sizes[j]
+    candidates from streams[j] for each j, stacked in that order, and
+    ``accept(pts)`` masks the ones to keep; ``source`` ends the message of
+    the starvation error. ``round_size(missing, tried, kept)`` gives a
+    stream's next round from its own points still missing and proposals
+    tried and kept so far, so every stream draws the rounds it would draw
+    alone. A round's proposals of the whole group are tested in one
+    ``accept`` call and gathered from one ``flatnonzero``. A block holds at
+    most GROUP_VALUES values, or one stream's round, so that it stays in
+    cache; the streams that do not fit draw in the next block. Each stream's
+    points are thus the ones it gives in a group of one, whatever the group.
 
     Where m proposals are one draw of m from the stream in order, as with
     ``BoundingBox.uniform``, the result does not depend on the round sizes.
-    The stream's position after the call does, and is unspecified, so
-    callers sample from a fresh substream.
+    The streams' positions after the call do, and are unspecified, so
+    callers sample from fresh substreams.
 
-    Accepted rows are gathered once, by index, with ``np.take``. A first
-    round that holds all n points is returned as it is gathered; the output
-    buffer is allocated only when a second round is needed.
+    Accepted rows are gathered by index with ``np.take``, straight into the
+    stream's rows of the output.
     """
-    if n == 0:
-        return np.empty((0, d))
-    out = None
-    got = 0
-    tried = 0
-    kept = 0
-    misses = 0
-    while got < n:
-        m = round_size(n - got, tried, kept)
-        pts = propose(m)
+    g = len(streams)
+    out = np.empty((g * n, d))
+    got, tried, kept, misses = ([0] * g for _ in range(4))
+    live = list(range(g)) if n else []
+    while live:
+        sizes = [round_size(n - got[i], tried[i], kept[i]) for i in live]
+        ends = list(itertools.accumulate(sizes))
+        cut = max(1, bisect.bisect_right(ends, GROUP_VALUES // d))
+        members = live[:cut]
+        pts = propose([streams[i] for i in members], sizes[:cut])
         idx = np.flatnonzero(accept(pts))
-        k = len(idx)
-        tried += m
-        kept += k
-        if k == 0:
-            misses += m
-            if misses >= MAX_CONSECUTIVE_MISSES:
-                raise DegenerateBodyError(f"no acceptance in {misses} proposals{source}")
-            continue
-        misses = 0
-        take = min(k, n - got)
-        if take == n:
-            return np.take(pts, idx[:n], axis=0)
-        if out is None:
-            out = np.empty((n, d))
-        # the indices are in range; mode "clip" lets take write into out unbuffered
-        np.take(pts, idx[:take], axis=0, out=out[got : got + take], mode="clip")
-        got += take
+        bounds = np.searchsorted(idx, ends[:cut]).tolist()
+        lo = 0
+        for i, m, hi in zip(members, sizes, bounds):
+            k = hi - lo
+            tried[i] += m
+            kept[i] += k
+            if k == 0:
+                misses[i] += m
+                if misses[i] >= MAX_CONSECUTIVE_MISSES:
+                    raise DegenerateBodyError(f"no acceptance in {misses[i]} proposals{source}")
+                continue
+            misses[i] = 0
+            take = min(k, n - got[i])
+            row = i * n + got[i]
+            # the indices are in range; mode "clip" lets take write into out unbuffered
+            np.take(pts, idx[lo : lo + take], axis=0, out=out[row : row + take], mode="clip")
+            got[i] += take
+            lo = hi
+        live = live[cut:] + [i for i in members if got[i] < n]
     return out
 
 
+def _stack(parts: list) -> np.ndarray:
+    """The arrays stacked along their first axis; a single array is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _box_points(box: BoundingBox, streams, sizes) -> np.ndarray:
+    """Each stream's own (m, dim) draw of ``uniform`` in turn, stacked and placed in the box in one pass.
+
+    Stream j's rows are the points ``box.uniform(streams[j], sizes[j])`` gives.
+    """
+    return box.place(_stack([s.uniform((m, box.dim)) for s, m in zip(streams, sizes)]))
+
+
 def _rejection_sample(stream, n, box, predicate) -> np.ndarray:
-    """n points of the box accepted by the predicate, proposed uniformly."""
+    """n points of the box accepted by the predicate, proposed uniformly, for one stream or each of a list of them.
+
+    A list of streams gives their points stacked, as ``_reject`` stacks them.
+    """
     source = "; body volume is negligible inside its bounding box"
-    return _reject(n, box.dim, lambda m: box.uniform(stream, m), predicate, source, _rate_sized)
+    return _reject(_group(stream), n, box.dim, lambda ss, ms: _box_points(box, ss, ms), predicate, source, _rate_sized)
+
+
+def _group(stream) -> list:
+    """A list of streams, as given, or one stream as a group of one."""
+    return [stream] if isinstance(stream, SampleStream) else list(stream)
 
 
 def _direct_sampler(body: ConvexBody):
@@ -345,30 +388,43 @@ def _check_count(n: int) -> None:
         raise ValueError(f"sample count must be nonnegative, got {n}")
 
 
-def sample_body(stream: SampleStream, body: ConvexBody, n: int) -> np.ndarray:
+def sample_body(stream, body: ConvexBody, n: int) -> np.ndarray:
     """n points uniform in the body.
 
     Balls, half-ball cones, center cuts of balls, and affine images of
     these sample directly; everything else rejects from the bounding box.
     A Cut whose base samples directly rejects from the base sampler rather
     than the box, which keeps acceptance high for thin caps.
+
+    ``stream`` is one SampleStream, or a list of G streams drawn as one
+    group. For a group, n is a multiple of G and rows [i n/G, (i + 1) n/G)
+    are the points ``sample_body(stream[i], body, n // G)`` gives, bit for
+    bit: each stream draws what it draws alone, and rejection tests the
+    group's proposals of a round together (``_reject``).
     """
     _check_count(n)
+    streams = _group(stream)
+    if not streams or n % len(streams):
+        raise ValueError(f"{n} points do not split evenly over {len(streams)} streams")
+    m = n // len(streams)
     if n == 0:
         return np.empty((0, body.dim))
     direct = _direct_sampler(body)
     if direct is not None:
-        return direct(stream, n)
+        return _stack([direct(s, m) for s in streams])
     if isinstance(body, Cut):
         base_fn = _direct_sampler(body.base)
         if base_fn is not None:
+            def propose(ss, sizes):
+                return _stack([base_fn(s, size) for s, size in zip(ss, sizes)])
+
             accept = body.halfspace.contains_batch
             # sample_ball draws all normals, then all radii: its points depend on the round sizes
-            return _reject(n, body.dim, lambda m: base_fn(stream, m), accept, " from the base sampler", _rate_sized)
+            return _reject(streams, m, body.dim, propose, accept, " from the base sampler", _rate_sized)
     box = bounding_box(body)
     if box.volume() <= 0:
         raise DegenerateBodyError("bounding box has zero volume")
-    return _rejection_sample(stream, n, box, body.contains_batch)
+    return _rejection_sample(streams, m, box, body.contains_batch)
 
 
 def slice_basis(v: np.ndarray) -> np.ndarray:

@@ -176,6 +176,39 @@ def test_sample_ball_respects_center_and_radius():
     assert np.all(np.linalg.norm(pts - np.array([3.0, -1.0]), axis=1) <= 0.5 + 1e-12)
 
 
+class _TopWordStream(gp.SampleStream):
+    """A stream whose first draw has uniforms of exactly 1.0, the top Philox word, at the given flat positions."""
+
+    def __init__(self, seed, index, positions):
+        super().__init__(seed, index)
+        self.positions = positions
+
+    def uniform(self, size):
+        u = super().uniform(size)
+        u.flat[self.positions] = 1.0
+        self.positions = []
+        return u
+
+
+def test_sample_ball_gives_an_infinite_normal_its_limit_direction():
+    # uniforms of 1.0 at normal (1, 1) and at (2, 0) and (2, 2) give normals
+    # of +inf: row 1 points along e_1 and row 2 along (e_0 + e_2)/sqrt(2)
+    center, radius = np.array([0.5, -2.0, 3.0]), 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gp.sample_ball(_TopWordStream(61, 0, [4, 6, 8]), 3, 3, center, radius)
+    want = gp.sample_ball(gp.SampleStream(61, 0), 3, 3, center, radius)
+    plain = gp.SampleStream(61, 0)
+    plain.normal((3, 3))
+    r = plain.uniform(3) ** (1.0 / 3)
+    assert np.all(np.isfinite(got))
+    assert got[0].tobytes() == want[0].tobytes()
+    for row, direction in ((1, np.array([0.0, 1.0, 0.0])), (2, np.array([1.0, 0.0, 1.0]))):
+        limit = direction / np.linalg.norm(direction) * r[row] * radius + center
+        assert got[row].tobytes() == limit.tobytes()
+        assert np.linalg.norm(got[row] - center) <= radius * r[row] * (1 + 1e-15)
+
+
 def test_sample_body_membership_everywhere():
     bodies = [
         gp.unit_cube(3),
@@ -519,7 +552,7 @@ def test_box_rejection_is_first_n_accepted_of_one_draw(body, n, seed):
     def four_per_point(missing, tried, kept):
         return min(REJECTION_BATCH, max(4 * missing, 1024))
 
-    fixed = _reject(n, box.dim, lambda m: box.uniform(stream, m), body.contains_batch, "", four_per_point)
+    fixed = _reject([stream], n, box.dim, lambda ss, ms: box.uniform(ss[0], ms[0]), body.contains_batch, "", four_per_point)
     assert np.array_equal(fixed, got)
 
 
@@ -527,16 +560,16 @@ def test_box_rejection_draws_few_proposals_beyond_the_expected(monkeypatch):
     poly = gp.half_disk_polygon(64)
     n = 40_000
     drawn = []
-    uniform = gp.BoundingBox.uniform
+    place = gp.BoundingBox.place
 
-    def counted(self, stream, m):
-        drawn.append(m)
-        return uniform(self, stream, m)
+    def counted(self, u):
+        drawn.append(len(u))
+        return place(self, u)
 
-    monkeypatch.setattr(gp.BoundingBox, "uniform", counted)
+    monkeypatch.setattr(gp.BoundingBox, "place", counted)
     gp.sample_body(gp.SampleStream(21, 4), poly, n)
     expected = n * gp.bounding_box(poly).volume() / poly.volume()
-    assert sum(drawn) <= 1.25 * expected
+    assert n <= sum(drawn) <= 1.25 * expected
 
 
 def test_base_rejection_draws_few_proposals_at_high_acceptance(monkeypatch):
@@ -758,7 +791,7 @@ def test_reject_gathers_the_boolean_mask_rows(n, d, rate, size, seed):
         stream = gp.SampleStream(seed, 5)
         return kernel(n, d, lambda m: stream.uniform((m, d)), lambda pts: pts[:, 0] < rate, lambda *_: size)
 
-    got = run(lambda n, d, propose, accept, round_size: _reject(n, d, propose, accept, "", round_size))
+    got = run(lambda n, d, propose, accept, round_size: _reject([None], n, d, lambda _, ms: propose(ms[0]), accept, "", round_size))
     want = run(_reject_reference)
     assert got.shape == (n, d) and got.flags.c_contiguous
     assert np.array_equal(_bits(got), _bits(want))
