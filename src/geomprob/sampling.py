@@ -264,7 +264,7 @@ def _reject(streams, n: int, d: int, propose, accept, source: str, round_size) -
             take = min(k, n - got[i])
             row = i * n + got[i]
             # the indices are in range; mode "clip" lets take write into out unbuffered
-            np.take(pts, idx[lo : lo + take], axis=0, out=out[row : row + take], mode="clip")
+            pts.take(idx[lo : lo + take], axis=0, out=out[row : row + take], mode="clip")
             got[i] += take
             lo = hi
         live = live[cut:] + [i for i in members if got[i] < n]
