@@ -235,7 +235,7 @@ def _reject(streams, n: int, d: int, propose, accept, source: str, round_size) -
     The streams' positions after the call do, and are unspecified, so
     callers sample from fresh substreams.
 
-    Accepted rows are gathered by index with ``np.take``, straight into the
+    Accepted rows are gathered by index with ``take``, straight into the
     stream's rows of the output.
     """
     g = len(streams)
