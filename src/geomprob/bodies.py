@@ -61,42 +61,24 @@ def _rowwise(op, pts: np.ndarray, vec: np.ndarray, out: np.ndarray | None = None
 
 
 def _row_norms(pts: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(pts, axis=-1)`` for rows laid out contiguously, one column at a time.
+    """``np.linalg.norm(pts, axis=-1)``; rows of fewer than 8 entries are summed one column at a time.
 
     The norm squares the entries and reduces the last axis with numpy's
     pairwise sum, which for rows of fewer than 8 entries adds the squares
-    left to right, and from 8 to 128 keeps 8 lanes of running sums, joins them
-    as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) and adds what is
-    left of the row left to right. The same IEEE operations in the same
-    order run here down whole columns, so the norms are numpy's, bit for
-    bit, without its outer loop of one iteration per row. A left-to-right
-    sum of 8 squares would differ in the last bit on about a fifth of the
-    rows. numpy sums Fortran-ordered rows left to right at any length;
-    every point array this package builds is C-ordered.
+    left to right. The same IEEE operations in the same order run here down
+    whole columns, so the norms are numpy's, bit for bit, without its outer
+    loop of one iteration per row. From 8 entries on, numpy's sum keeps 8
+    lanes that it joins as a tree, and the norm is numpy's own. numpy sums
+    Fortran-ordered rows left to right at any length; every point array
+    this package builds is C-ordered.
     """
     shape, d = pts.shape[:-1], pts.shape[-1]
-    tmp = np.empty(shape)
-
-    def square(j, out=None):
-        col = pts[..., j]
-        return np.multiply(col, col, out=np.empty(shape) if out is None else out)
-
-    if d < 8:
-        acc, rest = square(0), 1
-    else:
-        lanes = [square(k) for k in range(8)]
-        rest = d - d % 8
-        for start in range(8, rest, 8):
-            for k in range(8):
-                lanes[k] += square(start + k, tmp)
-        for k in (0, 2, 4, 6):
-            lanes[k] += lanes[k + 1]
-        lanes[0] += lanes[2]
-        lanes[4] += lanes[6]
-        acc = lanes[0]
-        acc += lanes[4]
-    for j in range(rest, d):
-        acc += square(j, tmp)
+    if d >= 8:
+        return np.linalg.norm(pts, axis=-1)
+    acc, tmp = np.empty(shape), np.empty(shape)
+    np.multiply(pts[..., 0], pts[..., 0], out=acc)
+    for j in range(1, d):
+        acc += np.multiply(pts[..., j], pts[..., j], out=tmp)
     # a single row gives a numpy float, as the norm over its last axis did
     return np.sqrt(acc, out=acc)[()]
 
@@ -371,31 +353,12 @@ def _tighten_box(box: BoundingBox, h: Halfspace) -> BoundingBox:
     return BoundingBox(lo, hi)
 
 
-def _ball_clip_box(box: BoundingBox, center: np.ndarray, radius: float) -> BoundingBox:
-    """Shrink a box around its intersection with a ball.
-
-    Any point of the intersection satisfies sum_i (x_i - c_i)^2 <= R^2, and
-    each clamped axis contributes at least its minimal offset from the
-    center, so the remaining axes cannot use the full radius. Makes boxes
-    around deep spherical caps much tighter, which the rejection samplers
-    turn directly into acceptance rate.
-    """
-    lo = np.maximum(box.lo, center - radius)
-    hi = np.minimum(box.hi, center + radius)
-    inside = (lo <= center) & (center <= hi)
-    m = np.where(inside, 0.0, np.minimum(np.abs(lo - center), np.abs(hi - center)))
-    total = float(np.sum(m**2))
-    width = np.sqrt(np.maximum(radius**2 - (total - m**2), 0.0))
-    lo = np.maximum(lo, center - width)
-    hi = np.minimum(hi, center + width)
-    return BoundingBox(lo, np.maximum(hi, lo))
-
-
 class ConvexBody:
     """The body protocol: ``dim`` plus five methods, defined by every body type.
 
     - ``contains_batch(pts)``: vectorized membership;
-    - ``box()``: an axis-aligned ``BoundingBox`` containing the body;
+    - ``box()``: an axis-aligned ``BoundingBox`` containing the body, by
+      default its exact extent from ``support``;
     - ``volume()``: the closed-form volume, or None where there is none;
     - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
       intersected with the halfspaces ``cuts``, in closed form or over the
@@ -409,6 +372,16 @@ class ConvexBody:
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def box(self) -> BoundingBox:
+        """The (inf, sup) of each coordinate from ``support(e_j)``, a zero end computed as -0.0 made 0.0.
+
+        ``support``'s ends are values at feasible points, so an end can sit
+        within rounding inside the true extremum: the x-extent of the half-ball
+        cut by x + y >= 0.2 starts at 8.4e-18, not at 0.
+        """
+        lo, hi = np.array([self.support(e) for e in np.eye(self.dim)]).T + 0.0
+        return BoundingBox(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -430,9 +403,6 @@ class Ball(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return _row_norms(_rowwise(np.subtract, pts, self.center)) <= self.radius + MEMBERSHIP_ATOL
-
-    def box(self) -> BoundingBox:
-        return BoundingBox(self.center - self.radius, self.center + self.radius)
 
     def volume(self) -> float:
         return exact.kappa(self.dim).to_float() * self.radius**self.dim
@@ -557,11 +527,6 @@ class HalfBallCone(ConvexBody):
         )
         return in_half | in_cone
 
-    def box(self) -> BoundingBox:
-        lo = -np.ones(self.d)
-        lo[0] = -self.eps + self.delta
-        return BoundingBox(lo, np.ones(self.d))
-
     def volume(self) -> float:
         d, eps, delta = self.d, self.eps, self.delta
         half = exact.kappa(d).to_float() / 2.0
@@ -665,11 +630,10 @@ class Cut(ConvexBody):
         return self.base.contains_batch(pts) & self.halfspace.contains_batch(pts)
 
     def box(self) -> BoundingBox:
-        box = _tighten_box(self.base.box(), self.halfspace)
-        _, root = _cut_chain(self)
-        if isinstance(root, Ball):
-            box = _ball_clip_box(box, root.center, root.radius)
-        return box
+        """The exact extent over a Ball root, else the base's box tightened by an axis-aligned halfspace."""
+        if isinstance(_cut_chain(self)[1], Ball):
+            return super().box()
+        return _tighten_box(self.base.box(), self.halfspace)
 
     def volume(self) -> float | None:
         """Exact for a ball cut along one normal line (half-ball, cap, slab), else None.

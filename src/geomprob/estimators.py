@@ -191,12 +191,15 @@ def pinned_moment_estimate(body: ConvexBody, x, k: int = 1, n: int = 10**6, seed
     """E[vol(conv(x, X_1..X_d))^k] with x fixed and d uniform points.
 
     x does not have to lie in the body; the estimator is pure integration.
+    A non-finite x raises ValueError.
     """
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
     xv = np.asarray(x, dtype=float)
     if xv.shape != (body.dim,):
         raise ValueError(f"pin point must have shape ({body.dim},), got {xv.shape}")
+    if not np.all(np.isfinite(xv)):
+        raise ValueError(f"pin point must be finite, got {xv.tolist()}")
 
     def fn(pts):
         return batch_pinned_volumes(xv, pts) ** k

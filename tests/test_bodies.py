@@ -142,6 +142,10 @@ def test_cut_through_ball_center_has_half_volume():
         lambda: gp.Polygon2D([[0, 0], [3, 1], [1, 4]]),
         lambda: gp.affine_image(gp.unit_cube(2), np.array([[1.0, 1.0], [0.0, 1.0]]), [0.0, 0.0]),
         lambda: gp.intersect_halfspace(gp.Ball(np.zeros(3), 1.0), gp.Halfspace.through([1, 1, 1], 0.2)),
+        lambda: _tilted_half_ball_cut(),
+        lambda: gp.AffineImage(_tilted_half_ball_cut(), np.diag([1.5, 0.5, 2.0]), np.array([0.1, 0.0, -0.3])),
+        lambda: _three_cut_ball(),
+        lambda: gp.Cut(gp.HalfBallCone(3, 0.1), gp.Halfspace.through([0.0, 1.0, 0.0], 0.1)),
     ],
 )
 def test_bounding_box_contains_all_samples(make):
@@ -150,6 +154,55 @@ def test_bounding_box_contains_all_samples(make):
     pts = gp.sample_body(gp.SampleStream(11, 0), body, 2000)
     assert np.all(pts >= box.lo - 1e-9)
     assert np.all(pts <= box.hi + 1e-9)
+
+
+def _tilted_half_ball_cut():
+    """The unit half-ball x >= 0 cut by x + y >= 0.2: its y-extent is [-0.6, 1]."""
+    return gp.Cut(gp.half_ball(3), gp.Halfspace.through([1.0, 1.0, 0.0], 0.2))
+
+
+def _three_cut_ball():
+    """A ball of radius 1.5 about (0.2, -0.1, 0.3) under three cuts whose normals are not parallel."""
+    body = gp.Ball(np.array([0.2, -0.1, 0.3]), 1.5)
+    for normal, offset in (([1.0, 0.0, 0.0], 0.1), ([1.0, 2.0, 0.0], -0.5), ([0.0, -1.0, 1.0], -0.8)):
+        body = gp.Cut(body, gp.Halfspace.through(normal, offset))
+    return body
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gp.Ball(np.array([1.0, -2.0, 0.0]), 0.5),
+        lambda: gp.HalfBallCone(3, 0.25, 0.1),
+        lambda: gp.HalfBallCone(4, 0.3),
+        lambda: gp.half_ball(4),
+        lambda: gp.intersect_halfspace(gp.Ball(np.zeros(4), 1.0), gp.Halfspace.through([1, 0, 0, 0], 0.6)),
+        lambda: _tilted_half_ball_cut(),
+        lambda: _three_cut_ball(),
+    ],
+)
+def test_box_is_the_support_extent(make):
+    body = make()
+    box = body.box()
+    for j, e in enumerate(np.eye(body.dim)):
+        lo, hi = body.support(e)
+        assert (box.lo[j], box.hi[j]) == (lo + 0.0, hi + 0.0)
+
+
+def test_tilted_half_ball_cut_box_is_exact():
+    # the z-ends lie over (0.1, 0.1), the point of the cut line nearest the axis, at height sqrt(0.98)
+    box, z = _tilted_half_ball_cut().box(), math.sqrt(0.98)
+    assert abs(box.lo[1] - -0.6) <= 1e-12
+    # the x-extent starts at a feasible point within rounding of 0
+    assert 0.0 <= box.lo[0] <= 1e-15
+    assert np.allclose(box.lo[2:], [-z], rtol=0.0, atol=1e-12)
+    assert np.allclose(box.hi, [1.0, 1.0, z], rtol=0.0, atol=1e-12)
+
+
+def test_empty_ball_cut_box_raises():
+    shaved = gp.intersect_halfspace(gp.Ball(np.zeros(2), 1.0), gp.Halfspace.through([1.0, 0.0], 2.0))
+    with pytest.raises(gp.DegenerateBodyError, match="the cut ball is empty"):
+        shaved.box()
 
 
 def test_intersect_halfspace_tightens_axis_cut():

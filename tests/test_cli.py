@@ -75,6 +75,15 @@ def test_estimate_pinned_flag(capsys):
     assert lines[0]["mean"] == float(f"{direct.mean:.12g}")
 
 
+@pytest.mark.parametrize("pin", ["nan,0", "inf,0", "-inf,0"])
+def test_estimate_rejects_a_non_finite_pin(capsys, pin):
+    # the = form keeps argparse from reading -inf as an option
+    assert main(["estimate", "--body", BALL2, f"--pinned={pin}", "--n", "1000", "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pin point must be finite" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--out", "--json"])
 def test_estimate_rejects_dropped_output_flags(tmp_path, flag):
     path = tmp_path / "t.csv"

@@ -127,6 +127,12 @@ def test_pinned_moment_at_center():
     assert abs(est.z_against(4.0 / (9.0 * math.pi))) <= SIGMA
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_pin_point_raises(bad):
+    with pytest.raises(ValueError, match="pin point must be finite"):
+        gp.pinned_moment_estimate(gp.Ball(np.zeros(2), 1.0), [bad, 0.0], 1, 1000, seed=3)
+
+
 def test_pinned_point_may_lie_outside_the_body():
     # pinning at the cone apex of the truncated body still integrates cleanly
     inner, outer = gp.HalfBallCone(3, 0.2, 0.1), gp.HalfBallCone(3, 0.2, 0.0)
