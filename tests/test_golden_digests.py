@@ -263,13 +263,13 @@ GOLDEN = {
     "estimate/volume": "dbb64cb9d861922da3c0328b96ae5fc04469101c09e7b2e08a98b506bf3f51e9",
     "geometry/affine_half_ball": "091edd25b0503a037bd5b3fbdf2776b9dbb0c74f9eeab0e5afa099787ade1c47",
     "geometry/affine_polygon": "0108c8ab6fb62fbc4b6ddf01db6caa98ae7bc5706c29782bdadd453d6f2d0510",
-    "geometry/affine_tilted_cut": "d9ab96ad03d8fdcee22fc59a4c9ebad452a4136daea10a12de1c1da03861f543",
+    "geometry/affine_tilted_cut": "84f4b89e4340f674e1d0812daf9748b6a54520ef75f065df2c3f45136a16be98",
     "geometry/ball": "fa33a3f92ae4a38a225abbacfd38e17276db73f38c1ac124bed1f283fc072bd0",
     "geometry/cut_cone": "97a88734109055f6924da8ae723c1b96af29e8e6e957e81a9c61412e7b839b41",
     "geometry/cut_half_ball": "ea65bd9c72808e9050c813de568c01fb28be21435dd76896da5f50c64399d6e3",
     "geometry/cut_hpoly": "ba54403820e964e809fd589505fffe4204f025bffc16702ab5fb3dbbe11cd0b3",
     "geometry/cut_slab": "8e634a3e6d89ff76d4bf45d970104e5387b9c85f7464a319494a25fa1bd5a777",
-    "geometry/cut_tilted": "a5345d6e4b85889e4206d5a2e82e346356f01e00a1d3d1fada557489a88ee75e",
+    "geometry/cut_tilted": "658ba091369af1b238564a10bfdd0ee1e214f9e57d77ecc9cbabe7c5bb3f9193",
     "geometry/halfballcone": "1fa28f935086f6d02ba369c23a97d07445fa848c80b534a7520d9b8f71f648eb",
     "geometry/hpoly_cube": "a2203470bf26002230aef7ea2ad74fe9dc11d5bad955e5c22c3b3bd9e8ae1cc7",
     "geometry/hpoly_hull": "a1d2d85f6255182cfa2096c16daf3caf61d7913a6bb58cb6130d018937b7e071",
