@@ -357,8 +357,8 @@ class ConvexBody:
     """The body protocol: ``dim`` plus five methods, defined by every body type.
 
     - ``contains_batch(pts)``: vectorized membership;
-    - ``box()``: an axis-aligned ``BoundingBox`` containing the body, by
-      default its exact extent from ``support``;
+    - ``box()``: an axis-aligned ``BoundingBox`` containing the body; the
+      one defined here is the exact extent from ``support``;
     - ``volume()``: the closed-form volume, or None where there is none;
     - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
       intersected with the halfspaces ``cuts``, in closed form or over the
