@@ -336,36 +336,23 @@ def _ball_cut_max(ball: "Ball", u: np.ndarray, normals: np.ndarray, offsets: np.
     return best
 
 
-def _tighten_box(box: BoundingBox, h: Halfspace) -> BoundingBox:
-    """Intersect a box with a halfspace when the normal is axis aligned."""
-    nz = np.nonzero(np.abs(h.normal) > UNIT_NORM_TOL)[0]
-    if len(nz) != 1:
-        return box
-    j = int(nz[0])
-    lo = box.lo.copy()
-    hi = box.hi.copy()
-    if h.normal[j] > 0:
-        lo[j] = max(lo[j], h.offset / h.normal[j])
-    else:
-        hi[j] = min(hi[j], h.offset / h.normal[j])
-    if hi[j] < lo[j]:
-        hi[j] = lo[j]
-    return BoundingBox(lo, hi)
-
-
 class ConvexBody:
     """The body protocol: ``dim`` plus five methods, defined by every body type.
 
     - ``contains_batch(pts)``: vectorized membership;
-    - ``box()``: an axis-aligned ``BoundingBox`` containing the body; the
-      one defined here is the exact extent from ``support``;
+    - ``box()``: an axis-aligned ``BoundingBox`` containing the body, formed
+      on the first call and kept (bodies are immutable); it is the exact
+      extent from ``support`` for every body but an ``AffineImage`` (its
+      base's box mapped) and a cut of a ``HalfBallCone`` (see ``Cut``);
     - ``volume()``: the closed-form volume, or None where there is none;
     - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
       intersected with the halfspaces ``cuts``, in closed form or over the
       vertices; each nesting level normalizes v. No body draws a sample;
     - ``to_json()``: the JSON object that ``body_from_json`` reads back.
 
-    A new body type is one subclass; the module-level functions delegate.
+    A new body type is one subclass; the module-level functions delegate,
+    except that a body with an exact sampler also needs its branch in
+    ``sampling._direct_sampler``, which dispatches on the type.
     """
 
     dim: int
@@ -374,6 +361,10 @@ class ConvexBody:
         raise NotImplementedError
 
     def box(self) -> BoundingBox:
+        return self._box
+
+    @functools.cached_property
+    def _box(self) -> BoundingBox:
         """The (inf, sup) of each coordinate from ``support(e_j)``, a zero end computed as -0.0 made 0.0.
 
         ``support``'s ends are values at feasible points, so an end can sit
@@ -425,15 +416,15 @@ class HPolytope(ConvexBody):
     """Bounded, nonempty intersection of halfspaces {x : <n_i, x> >= t_i}.
 
     Normals are stored unit length (rows). The vertices (``_tight_points``)
-    and the bounding box, their extremes, are computed once here; rejection
-    sampling proposes from the box. Unbounded halfspaces raise
-    InvalidBodyError, and an empty intersection DegenerateBodyError.
+    are computed once here, and the box, their extremes, is formed on its
+    first call and kept; rejection sampling proposes from the box. Unbounded
+    halfspaces raise InvalidBodyError, and an empty intersection
+    DegenerateBodyError.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
     vertices: np.ndarray = field(init=False, repr=False, compare=False)
-    bound: BoundingBox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.asarray(self.normals, dtype=float)
@@ -453,7 +444,6 @@ class HPolytope(ConvexBody):
         object.__setattr__(self, "normals", n)
         object.__setattr__(self, "offsets", t)
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "bound", BoundingBox(v.min(axis=0), v.max(axis=0)))
 
     @property
     def dim(self) -> int:
@@ -462,16 +452,13 @@ class HPolytope(ConvexBody):
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return _inside(pts, self.normals, self.offsets)
 
-    def box(self) -> BoundingBox:
-        return self.bound
-
     def volume(self) -> float | None:
-        """Exact when every facet is axis-aligned, since the body is then its bound; else None."""
+        """Exact when every facet is axis-aligned, since the body is then its box; else None."""
         a = np.abs(self.normals)
         axis = a.max(axis=1)
         if np.any(np.abs(axis - 1.0) > 1e-12) or np.any(a.sum(axis=1) - axis > 1e-12):
             return None
-        return self.bound.volume()
+        return self.box().volume()
 
     def support(self, v, cuts=()) -> tuple[float, float]:
         return _polytope_support(self, v, cuts)
@@ -563,14 +550,13 @@ class Polygon2D(ConvexBody):
     Canonicalization deduplicates vertices within VERTEX_TOL, sorts CCW
     around the vertex centroid, and drops collinear middles so profile
     reconstructions round-trip. The edge frame (inward unit normals and
-    their offsets, edge i from vertex i to vertex i + 1) and the bounding
-    box are built once here.
+    their offsets, edge i from vertex i to vertex i + 1) is built once here,
+    and the box, the vertex extremes, on its first call and kept.
     """
 
     vertices: np.ndarray
     normals: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    bound: BoundingBox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -586,7 +572,6 @@ class Polygon2D(ConvexBody):
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "normals", n)
         object.__setattr__(self, "offsets", np.sum(n * v, axis=1))
-        object.__setattr__(self, "bound", BoundingBox(v.min(axis=0), v.max(axis=0)))
 
     @property
     def dim(self) -> int:
@@ -597,9 +582,6 @@ class Polygon2D(ConvexBody):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return _inside(pts, self.normals, self.offsets)
-
-    def box(self) -> BoundingBox:
-        return self.bound
 
     def volume(self) -> float:
         return self.area()
@@ -629,11 +611,19 @@ class Cut(ConvexBody):
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return self.base.contains_batch(pts) & self.halfspace.contains_batch(pts)
 
-    def box(self) -> BoundingBox:
-        """The exact extent over a Ball root, else the base's box tightened by an axis-aligned halfspace."""
-        if isinstance(_cut_chain(self)[1], Ball):
-            return super().box()
-        return _tighten_box(self.base.box(), self.halfspace)
+    @functools.cached_property
+    def _box(self) -> BoundingBox:
+        """The exact extent; under a root with no support under cuts (a HalfBallCone), that of the base's box cut.
+
+        That box is the polytope ``box_body`` of the base's box intersected
+        with the halfspace: for an axis-aligned halfspace it is the base's
+        box with one end moved to the cut, and for a tilted one it is tighter.
+        """
+        try:
+            return super()._box
+        except InvalidBodyError:
+            b = self.base.box()
+            return intersect_halfspace(box_body(b.lo, b.hi), self.halfspace).box()
 
     def volume(self) -> float | None:
         """Exact for a ball cut along one normal line (half-ball, cap, slab), else None.
@@ -688,7 +678,9 @@ class AffineImage(ConvexBody):
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return self.base.contains_batch(_product(_rowwise(np.subtract, pts, self.shift), self.inverse.T))
 
-    def box(self) -> BoundingBox:
+    @functools.cached_property
+    def _box(self) -> BoundingBox:
+        """The box of the base's box corners mapped, not the exact extent of the image."""
         c = self.base.box().corners() @ self.matrix.T + self.shift
         return BoundingBox(c.min(axis=0), c.max(axis=0))
 
@@ -941,7 +933,7 @@ def affine_image(body: ConvexBody, matrix, shift) -> AffineImage:
 
 
 def box_body(lo, hi) -> HPolytope:
-    """Axis-aligned box as an H-polytope (its bound is exactly itself)."""
+    """Axis-aligned box as an H-polytope (its box is exactly itself)."""
     box = BoundingBox(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if np.any(box.hi <= box.lo):
         raise InvalidBodyError("box needs hi > lo componentwise")

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -81,6 +82,21 @@ def _parse_range(text: str) -> list[int]:
 
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(part) for part in text.split(",")], dtype=float)
+
+
+def _join_negative_vectors(argv: list[str]) -> list[str]:
+    """``--x -0.5,0`` as ``--x=-0.5,0`` for the vector options --pinned, --x and --v.
+
+    argparse takes an argument that starts with "-" for an option unless it
+    is a lone number, so "-0.5,0.2" after a space would not reach the option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--pinned", "--x", "--v") and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _report_exit(report: ExperimentReport) -> int:
@@ -299,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_vectors(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

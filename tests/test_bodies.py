@@ -146,6 +146,9 @@ def test_cut_through_ball_center_has_half_volume():
         lambda: gp.AffineImage(_tilted_half_ball_cut(), np.diag([1.5, 0.5, 2.0]), np.array([0.1, 0.0, -0.3])),
         lambda: _three_cut_ball(),
         lambda: gp.Cut(gp.HalfBallCone(3, 0.1), gp.Halfspace.through([0.0, 1.0, 0.0], 0.1)),
+        lambda: gp.Cut(gp.HalfBallCone(3, 0.1), gp.Halfspace.through([1.0, 1.0, 0.0], 0.5)),
+        lambda: _hull_point_cap(),
+        lambda: _tilted_polygon_cut(),
     ],
 )
 def test_bounding_box_contains_all_samples(make):
@@ -169,6 +172,26 @@ def _three_cut_ball():
     return body
 
 
+def _hull_point_cap():
+    """The counterexample's K_t: the hull-point simplex under an affine map, cut 0.1 past its hull vertex.
+
+    The cut direction is the sum of the mapped inward normals of the three
+    faces at the hull vertex, as ``detcov_counterexample`` takes it.
+    """
+    body, xa = gp.simplex_with_hull_point(1.2)
+    m, shift = np.array([[1.2, 0.1, 0.0], [0.0, 0.9, -0.2], [0.1, 0.0, 1.1]]), np.array([0.1, -0.2, 0.05])
+    image = gp.affine_image(body, m, shift)
+    normals = body.normals[-3:] @ image.inverse
+    v = (normals / np.linalg.norm(normals, axis=1, keepdims=True)).sum(axis=0)
+    v /= np.linalg.norm(v)
+    return gp.intersect_halfspace(image, gp.Halfspace(v, float(v @ (m @ xa + shift)) + 0.1))
+
+
+def _tilted_polygon_cut():
+    """The 12-gon half disk cut by x + 2y >= 0.3, kept as a Cut rather than folded into a polygon."""
+    return gp.Cut(gp.half_disk_polygon(12), gp.Halfspace.through([1.0, 2.0], 0.3))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -179,6 +202,12 @@ def _three_cut_ball():
         lambda: gp.intersect_halfspace(gp.Ball(np.zeros(4), 1.0), gp.Halfspace.through([1, 0, 0, 0], 0.6)),
         lambda: _tilted_half_ball_cut(),
         lambda: _three_cut_ball(),
+        lambda: gp.unit_cube(3),
+        lambda: gp.isotropic_simplex(3),
+        lambda: gp.half_disk_polygon(64),
+        lambda: gp.Cut(gp.isotropic_simplex(3), gp.Halfspace.through([1.0, -0.5, 0.25], 0.2)),
+        lambda: _tilted_polygon_cut(),
+        lambda: _hull_point_cap(),
     ],
 )
 def test_box_is_the_support_extent(make):
@@ -187,6 +216,45 @@ def test_box_is_the_support_extent(make):
     for j, e in enumerate(np.eye(body.dim)):
         lo, hi = body.support(e)
         assert (box.lo[j], box.hi[j]) == (lo + 0.0, hi + 0.0)
+
+
+def test_box_is_formed_once(monkeypatch):
+    body = _three_cut_ball()
+    first = body.box()
+    calls = []
+    support = gp.Ball.support
+
+    def counted(self, v, cuts=()):
+        calls.append(v)
+        return support(self, v, cuts)
+
+    monkeypatch.setattr(gp.Ball, "support", counted)
+    assert body.box() is first
+    assert calls == []
+
+
+def test_cut_cone_box_is_the_cone_box_cut():
+    cone = gp.HalfBallCone(3, 0.1)
+    whole = cone.box()
+    # an axis cut moves one end of the cone's box to the cut and keeps every other bit
+    for normal, offset, side, j in (([1.0, 0.0, 0.0], -0.05, 0, 0), ([0.0, -1.0, 0.0], -0.3, 1, 1)):
+        box = gp.Cut(cone, gp.Halfspace.through(normal, offset)).box()
+        ends = [whole.lo.copy(), whole.hi.copy()]
+        ends[side][j] = offset / normal[j]
+        assert box.lo.tolist() == ends[0].tolist() and box.hi.tolist() == ends[1].tolist()
+    # a tilted cut shrinks the box inside the cone's box
+    box = gp.Cut(cone, gp.Halfspace.through([1.0, 1.0, 0.0], 0.5)).box()
+    assert np.all(box.lo >= whole.lo) and np.all(box.hi <= whole.hi)
+    assert np.any(box.lo > whole.lo) or np.any(box.hi < whole.hi)
+
+
+@pytest.mark.parametrize(
+    "base", [lambda: gp.unit_cube(2), lambda: gp.half_disk_polygon(12)], ids=["hpoly", "polygon"]
+)
+def test_empty_polytope_cut_box_raises(base):
+    shaved = gp.Cut(base(), gp.Halfspace.through([1.0, 0.0], 2.0))
+    with pytest.raises(gp.DegenerateBodyError, match="the halfspaces have an empty intersection"):
+        shaved.box()
 
 
 def test_tilted_half_ball_cut_box_is_exact():
@@ -557,8 +625,8 @@ def test_hpolytope_vertices_are_the_hull_points(d, extra, seed):
     gap = np.linalg.norm(poly.vertices[:, None, :] - corners[None, :, :], axis=-1)
     assert gap.min(axis=1).max() <= 1e-12
     assert gap.min(axis=0).max() <= 1e-12
-    assert np.abs(poly.bound.lo - corners.min(axis=0)).max() <= 1e-12
-    assert np.abs(poly.bound.hi - corners.max(axis=0)).max() <= 1e-12
+    assert np.abs(poly.box().lo - corners.min(axis=0)).max() <= 1e-12
+    assert np.abs(poly.box().hi - corners.max(axis=0)).max() <= 1e-12
     for v in rng.normal(size=(8, d)):
         proj = corners @ (v / np.linalg.norm(v))
         lo, hi = poly.support(v)
@@ -568,7 +636,7 @@ def test_hpolytope_vertices_are_the_hull_points(d, extra, seed):
 def test_box_body_bound_and_volume_are_its_corners():
     lo, hi = [-1.0, 0.3, 2.0], [2.5, 0.7, 2.1]
     box = gp.box_body(lo, hi)
-    assert box.bound.lo.tolist() == lo and box.bound.hi.tolist() == hi
+    assert box.box().lo.tolist() == lo and box.box().hi.tolist() == hi
     assert box.volume() == float(np.prod(np.array(hi) - np.array(lo)))
     assert len(box.vertices) == 8
 
@@ -687,7 +755,7 @@ def test_body_from_json_ignores_an_old_hpoly_bound():
     assert "bound" not in square
     # older files stored a box; one that would truncate the square no longer matters
     old = gp.body_from_json({**square, "bound": {"lo": [0, 0], "hi": [1, 0.5]}})
-    assert old.bound.hi.tolist() == [1.0, 1.0] and old.volume() == 1.0
+    assert old.box().hi.tolist() == [1.0, 1.0] and old.volume() == 1.0
 
 
 _SQUARE_JSON = gp.unit_cube(2).to_json()

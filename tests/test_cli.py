@@ -75,6 +75,26 @@ def test_estimate_pinned_flag(capsys):
     assert lines[0]["mean"] == float(f"{direct.mean:.12g}")
 
 
+NEGATIVE_VECTOR_RUNS = {
+    "pinned": (["estimate", "--body", BALL2, "--n", "6400", "--seed", "5"], "--pinned", "-0.5,0.2"),
+    "x": (["plane-check", "--poly", DIAMOND, "--n", "3200", "--seed", "9"], "--x", "-0.5,-0.5"),
+    "v": (["derivative-check", "--body", SQUARE, "--f", "coordsum", "--n", "6400", "--seed", "4"], "--v", "-1,0"),
+}
+
+
+def _without_wall_time(lines):
+    return [{k: x for k, x in rec.items() if k != "wall_time_s"} for rec in lines]
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_VECTOR_RUNS))
+def test_vector_option_takes_a_negative_value_in_both_forms(capsys, name):
+    argv, option, value = NEGATIVE_VECTOR_RUNS[name]
+    joined_code, joined = run_lines(capsys, argv + [f"{option}={value}"])
+    spaced_code, spaced = run_lines(capsys, argv + [option, value])
+    assert joined_code in (0, 1) and spaced_code == joined_code
+    assert _without_wall_time(spaced) == _without_wall_time(joined)
+
+
 @pytest.mark.parametrize("pin", ["nan,0", "inf,0", "-inf,0"])
 def test_estimate_rejects_a_non_finite_pin(capsys, pin):
     # the = form keeps argparse from reading -inf as an option
