@@ -341,9 +341,9 @@ class ConvexBody:
 
     - ``contains_batch(pts)``: vectorized membership;
     - ``box()``: an axis-aligned ``BoundingBox`` containing the body, formed
-      on the first call and kept (bodies are immutable); it is the exact
-      extent from ``support`` for every body but an ``AffineImage`` (its
-      base's box mapped) and a cut of a ``HalfBallCone`` (see ``Cut``);
+      on the first call and kept: the exact extent from ``support``, but for
+      an ``AffineImage`` and a cut of a ``HalfBallCone``, which map or cut
+      their base's box;
     - ``volume()``: the closed-form volume, or None where there is none;
     - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
       intersected with the halfspaces ``cuts``, in closed form or over the
@@ -613,11 +613,9 @@ class Cut(ConvexBody):
 
     @functools.cached_property
     def _box(self) -> BoundingBox:
-        """The exact extent; under a root with no support under cuts (a HalfBallCone), that of the base's box cut.
+        """The exact extent; over a HalfBallCone, which has no support under cuts, that of the base's box cut.
 
-        That box is the polytope ``box_body`` of the base's box intersected
-        with the halfspace: for an axis-aligned halfspace it is the base's
-        box with one end moved to the cut, and for a tilted one it is tighter.
+        An axis-aligned cut moves one end of the base's box; a tilted one can shrink every coordinate.
         """
         try:
             return super()._box

@@ -84,21 +84,6 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(part) for part in text.split(",")], dtype=float)
 
 
-def _join_negative_vectors(argv: list[str]) -> list[str]:
-    """``--x -0.5,0`` as ``--x=-0.5,0`` for the vector options --pinned, --x and --v.
-
-    argparse takes an argument that starts with "-" for an option unless it
-    is a lone number, so "-0.5,0.2" after a space would not reach the option.
-    """
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in ("--pinned", "--x", "--v") and re.match(r"-\.?\d", arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def _report_exit(report: ExperimentReport) -> int:
     _emit(report.to_dict())
     return 1 if report.verdict == "fail" else 0
@@ -315,7 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _join_negative_vectors(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes "-0.5,0.2" for an option, since only a lone number counts as negative
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--pinned", "--x", "--v") and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
