@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -159,18 +159,6 @@ class BoundingBox:
 
     def volume(self) -> float:
         return self._volume
-
-    def corners(self) -> np.ndarray:
-        d = self.dim
-        out = np.empty((2**d, d))
-        for j in range(d):
-            pattern = np.tile(np.repeat([0, 1], 2**j), 2 ** (d - j - 1))
-            out[:, j] = np.where(pattern, self.hi[j], self.lo[j])
-        return out
-
-    def max_norm(self) -> float:
-        """Largest Euclidean norm over the box (attained at a corner)."""
-        return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
 
     def uniform(self, stream, m: int) -> np.ndarray:
         """m points uniform in the box, from one (m, dim) draw of ``stream.uniform``, placed by ``place``."""
@@ -341,13 +329,15 @@ class ConvexBody:
 
     - ``contains_batch(pts)``: vectorized membership;
     - ``box()``: an axis-aligned ``BoundingBox`` containing the body, formed
-      on the first call and kept: the exact extent from ``support``, but for
-      an ``AffineImage`` and a cut of a ``HalfBallCone``, which map or cut
-      their base's box;
+      on the first call and kept: its extent along each axis by the rule
+      that slice frames share (``_extent``), the exact one from ``support``
+      or, where a HalfBallCone in the body is cut, that of the body with
+      the cone replaced by its box;
     - ``volume()``: the closed-form volume, or None where there is none;
     - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
       intersected with the halfspaces ``cuts``, in closed form or over the
-      vertices; each nesting level normalizes v. No body draws a sample;
+      vertices; each nesting level normalizes v. A HalfBallCone under cuts
+      raises InvalidBodyError. No body draws a sample;
     - ``to_json()``: the JSON object that ``body_from_json`` reads back.
 
     A new body type is one subclass; the module-level functions delegate,
@@ -365,14 +355,13 @@ class ConvexBody:
 
     @functools.cached_property
     def _box(self) -> BoundingBox:
-        """The (inf, sup) of each coordinate from ``support(e_j)``, a zero end computed as -0.0 made 0.0.
+        """The (inf, sup) of each coordinate, from ``_extent`` along e_j.
 
         ``support``'s ends are values at feasible points, so an end can sit
         within rounding inside the true extremum: the x-extent of the half-ball
         cut by x + y >= 0.2 starts at 8.4e-18, not at 0.
         """
-        lo, hi = np.array([self.support(e) for e in np.eye(self.dim)]).T + 0.0
-        return BoundingBox(lo, hi)
+        return BoundingBox(*_extent(self, np.eye(self.dim)))
 
 
 @dataclass(frozen=True)
@@ -611,18 +600,6 @@ class Cut(ConvexBody):
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return self.base.contains_batch(pts) & self.halfspace.contains_batch(pts)
 
-    @functools.cached_property
-    def _box(self) -> BoundingBox:
-        """The exact extent; over a HalfBallCone, which has no support under cuts, that of the base's box cut.
-
-        An axis-aligned cut moves one end of the base's box; a tilted one can shrink every coordinate.
-        """
-        try:
-            return super()._box
-        except InvalidBodyError:
-            b = self.base.box()
-            return intersect_halfspace(box_body(b.lo, b.hi), self.halfspace).box()
-
     def volume(self) -> float | None:
         """Exact for a ball cut along one normal line (half-ball, cap, slab), else None.
 
@@ -676,12 +653,6 @@ class AffineImage(ConvexBody):
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return self.base.contains_batch(_product(_rowwise(np.subtract, pts, self.shift), self.inverse.T))
 
-    @functools.cached_property
-    def _box(self) -> BoundingBox:
-        """The box of the base's box corners mapped, not the exact extent of the image."""
-        c = self.base.box().corners() @ self.matrix.T + self.shift
-        return BoundingBox(c.min(axis=0), c.max(axis=0))
-
     def volume(self) -> float | None:
         base = self.base.volume()
         if base is None:
@@ -706,6 +677,30 @@ class AffineImage(ConvexBody):
         return {"type": "affine", "base": base, "matrix": matrix, "shift": shift}
 
 
+def _extent(body: ConvexBody, rows, cuts=()) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the (inf, sup) of <u, x> over the body cut by ``cuts``, for each row u; a -0.0 end made 0.0.
+
+    Each end is ``support(u, cuts)``. A HalfBallCone has no support under
+    cuts; where ``support`` raises for that, the extent is that of
+    ``_outer(body)``, a superset of the body, so it still holds the body.
+    """
+    try:
+        ends = [body.support(u, cuts) for u in rows]
+    except InvalidBodyError:
+        return _extent(_outer(body), rows, cuts)
+    lo, hi = np.array(ends).T + 0.0
+    return lo, hi
+
+
+def _outer(body: ConvexBody) -> ConvexBody:
+    """The body with each HalfBallCone in it replaced by its box, as a polytope, which has support under cuts."""
+    if isinstance(body, HalfBallCone):
+        return box_body(body.box().lo, body.box().hi)
+    if isinstance(body, (Cut, AffineImage)):
+        return replace(body, base=_outer(body.base))
+    return body
+
+
 def _shoelace(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -719,12 +714,13 @@ def _turns(v: np.ndarray) -> np.ndarray:
 
 def _canonicalize_polygon(v: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(v).max()))
-    # dedupe within tolerance
-    keep: list[np.ndarray] = []
-    for p in v:
-        if all(np.linalg.norm(p - q) > VERTEX_TOL for q in keep):
-            keep.append(p)
-    v = np.array(keep)
+    # dedupe within tolerance: in input order, keep each vertex farther than VERTEX_TOL from all kept before it
+    far = np.linalg.norm(v[:, None] - v[None], axis=-1) > VERTEX_TOL
+    keep: list[int] = []
+    for i in range(len(v)):
+        if far[i, keep].all():
+            keep.append(i)
+    v = v[keep]
     if len(v) < 3:
         raise InvalidBodyError("polygon needs at least 3 distinct vertices")
     c = v.mean(axis=0)

@@ -361,9 +361,8 @@ def detcov_counterexample(
     new_normals /= np.linalg.norm(new_normals, axis=1, keepdims=True)
     v = new_normals.sum(axis=0)
     v /= np.linalg.norm(v)
-    a = float(v @ x_iso)
-    proj = (regular_simplex_vertices(3, math.sqrt(15.0)) @ iso.matrix.T + iso.shift) @ v
-    fam = CutFamily(iso, v, a, float(proj.max()))
+    fam = cut_family(iso, v)
+    a = fam.a
 
     rhs = detcov_derivative_rhs(fam, a + RHS_DEPTH, n, stream.substream(2))
     rhs_z = rhs.mean / rhs.stderr if rhs.stderr > 0 else 0.0

@@ -37,6 +37,7 @@ from .bodies import (
     Halfspace,
     VERTEX_TOL,
     _ball_axis_ppf,
+    _extent,
     _row_norms,
     _rowwise,
     _slab_quantiles,
@@ -44,7 +45,7 @@ from .bodies import (
     bounding_box,
     parallel_slab_params,
 )
-from .errors import DegenerateBodyError, DegenerateSliceError, DimensionError, InvalidBodyError
+from .errors import DegenerateBodyError, DegenerateSliceError, DimensionError
 from .report import MomentEstimate, hit_or_miss
 
 MASK64 = (1 << 64) - 1
@@ -483,14 +484,13 @@ def _slice_frame(body: ConvexBody, v, t: float):
 
     The rows u_j of ``slice_basis(v)`` are orthogonal to v, so the anchor is
     t v and the slice coordinate c_j of x is <u_j, x>. The (d-1)-box is the
-    section's exact extent: side j is ``body.support(u_j, cuts)`` with the
-    plane pinned by the cuts <v, x> >= t and <-v, x> >= -t, in closed form
-    or over the section's vertices; a side no wider than VERTEX_TOL gets zero
-    width. Raises DegenerateBodyError where the plane misses the body.
-
-    A HalfBallCone, or a cut of one, has no exact support under cuts; there
-    the box is [-r, r]^(d-1), the plane's cut of the sphere about the origin
-    through the farthest corner of the body's box.
+    section's extent, by the rule of the body's own box (``bodies._extent``):
+    side j is ``body.support(u_j, cuts)`` with the plane pinned by the cuts
+    <v, x> >= t and <-v, x> >= -t, in closed form or over the section's
+    vertices; a side no wider than VERTEX_TOL gets zero width. Raises
+    DegenerateBodyError where the plane misses the body (for a body with a
+    HalfBallCone in it, where it misses the body with the cone's box in
+    place of the cone).
 
     The last frame built is kept on the body instance with its (v, t), so
     a derivative formula, which asks for the same frame in ``slice_measure``
@@ -513,14 +513,7 @@ def _exact_slice_frame(body: ConvexBody, v: np.ndarray, t: float):
     """The frame of ``_slice_frame`` for unit v, built afresh."""
     basis = slice_basis(v)
     plane = (Halfspace(v, t), Halfspace(-v, -t))
-    try:
-        lo, hi = np.array([body.support(u, plane) for u in basis]).T
-    except InvalidBodyError:
-        big = bounding_box(body).max_norm()
-        r2 = big * big - t * t
-        # where the plane only grazes the bounding sphere, keep a positive box
-        radius = float(np.sqrt(r2)) if r2 > 0 else max(abs(big) * 1e-8, 1e-8)
-        lo, hi = np.full(body.dim - 1, -radius), np.full(body.dim - 1, radius)
+    lo, hi = _extent(body, basis, plane)
     # a section that is a point or an edge has sides of rounding width, or ends crossed by a rounding
     return basis, BoundingBox(lo, np.where(hi - lo > VERTEX_TOL, hi, lo)), t * v
 

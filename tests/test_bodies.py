@@ -15,8 +15,10 @@ import geomprob as gp
 from geomprob.bodies import (
     DIM_CAP,
     MEMBERSHIP_ATOL,
+    VERTEX_TOL,
     _ball_axis_cdf,
     _ball_axis_ppf,
+    _canonicalize_polygon,
     _check_bounded,
     _inside,
     _row_norms,
@@ -149,6 +151,10 @@ def test_cut_through_ball_center_has_half_volume():
         lambda: gp.Cut(gp.HalfBallCone(3, 0.1), gp.Halfspace.through([1.0, 1.0, 0.0], 0.5)),
         lambda: _hull_point_cap(),
         lambda: _tilted_polygon_cut(),
+        lambda: _affine_cone(),
+        lambda: gp.affine_image(_cut_cone(), np.array([[1.0, 0.4, 0.0], [0.0, 0.8, 0.3], [0.2, 0.0, 1.2]]), [0.0, 0.5, -0.1]),
+        lambda: gp.Cut(_affine_cone(), gp.Halfspace.through([1.0, 1.0, 0.5], 0.3)),
+        lambda: gp.Cut(_cut_cone(), gp.Halfspace.through([-1.0, 0.0, 1.0], -0.4)),
     ],
 )
 def test_bounding_box_contains_all_samples(make):
@@ -157,6 +163,17 @@ def test_bounding_box_contains_all_samples(make):
     pts = gp.sample_body(gp.SampleStream(11, 0), body, 2000)
     assert np.all(pts >= box.lo - 1e-9)
     assert np.all(pts <= box.hi + 1e-9)
+
+
+def _affine_cone():
+    """A truncated cone mapped by a sheared, anisotropic matrix."""
+    m = np.array([[1.3, 0.2, 0.0], [-0.3, 0.9, 0.1], [0.0, 0.4, 0.7]])
+    return gp.affine_image(gp.HalfBallCone(3, 0.4, 0.1), m, [0.2, -0.1, 0.0])
+
+
+def _cut_cone():
+    """A cone cut by a tilted plane through its tip region and the half-ball."""
+    return gp.Cut(gp.HalfBallCone(3, 0.3), gp.Halfspace.through([1.0, -1.0, 0.0], -0.4))
 
 
 def _tilted_half_ball_cut():
@@ -208,6 +225,11 @@ def _tilted_polygon_cut():
         lambda: gp.Cut(gp.isotropic_simplex(3), gp.Halfspace.through([1.0, -0.5, 0.25], 0.2)),
         lambda: _tilted_polygon_cut(),
         lambda: _hull_point_cap(),
+        lambda: gp.isotropic_half_ball(3),
+        lambda: gp.affine_image(
+            gp.Polygon2D([[0.0, 0.0], [1.0, 0.0], [0.2, 1.0]]), [[2.0, 0.5], [0.0, 1.0]], [0.5, 0.0]
+        ),
+        lambda: gp.isotropic_transform(gp.simplex_with_hull_point()[0], 64 * 100, seed=3),
     ],
 )
 def test_box_is_the_support_extent(make):
@@ -477,6 +499,40 @@ def test_polygon_canonicalization_is_input_order_invariant():
         assert a.vertices.shape == other.vertices.shape
         roll = np.argmin([np.linalg.norm(v - a.vertices[0]) for v in other.vertices])
         assert np.allclose(np.roll(other.vertices, -roll, axis=0), a.vertices, atol=1e-12)
+
+
+def _greedy_dedupe(v):
+    """The reference dedupe: in input order, keep each vertex farther than VERTEX_TOL from all kept before it."""
+    keep = []
+    for p in v:
+        if all(np.linalg.norm(p - q) > VERTEX_TOL for q in keep):
+            keep.append(p)
+    return np.array(keep)
+
+
+def _canonical_or_error(v):
+    try:
+        return _canonicalize_polygon(v)
+    except gp.InvalidBodyError as err:
+        return str(err)
+
+
+def test_polygon_dedupe_matches_the_greedy_loop():
+    """Hulls with near copies of their vertices, some in chains whose steps straddle VERTEX_TOL,
+    shuffled: the polygon is the one built from the loop's survivors."""
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        k = int(rng.integers(3, 17))
+        hull = np.stack([np.cos(a := np.sort(rng.uniform(0, 2 * math.pi, k))), np.sin(a)], axis=1)
+        base = hull[rng.integers(0, k, int(rng.integers(1, 2 * k)))]
+        steps = rng.normal(size=base.shape)
+        steps *= rng.uniform(0.3, 1.7, (len(base), 1)) * VERTEX_TOL / np.linalg.norm(steps, axis=1, keepdims=True)
+        v = np.vstack([hull, base + steps, base + 2 * steps])
+        v = v[rng.permutation(len(v))]
+        expected = _canonical_or_error(_greedy_dedupe(v))
+        got = _canonical_or_error(v)
+        assert type(got) is type(expected)
+        assert got == expected if isinstance(got, str) else np.array_equal(got, expected)
 
 
 def test_polygon_box_is_the_vertex_extremes_after_copy_and_json():

@@ -318,9 +318,16 @@ def test_rejection_starvation_raises():
         gp.sample_body(gp.SampleStream(20, 0), shaved, 100)
 
 
-def test_slice_of_half_ball_cone_keeps_the_sphere_box():
-    # HalfBallCone has no exact support under cuts; at x_1 = t in (-eps, 0) its
-    # section is the disk of radius (t + eps)/eps
+def _assert_in_frame(body, v, t, pts):
+    basis, box, anchor = _slice_frame(body, v, t)
+    coords = (pts - anchor) @ basis.T
+    assert np.all(coords >= box.lo - 1e-9) and np.all(coords <= box.hi + 1e-9)
+
+
+def test_slice_of_half_ball_cone_lies_in_its_frame():
+    # HalfBallCone has no exact support under cuts, so a slice frame of a body
+    # with one in it is the section of the body with the cone's box in its
+    # place; at x_1 = t in (-eps, 0) the cone's section is the disk of radius (t + eps)/eps
     body, t, eps = gp.HalfBallCone(3, 0.5), -0.2, 0.5
     v = np.array([1.0, 0.0, 0.0])
     est = gp.slice_measure(gp.SampleStream(24, 0), body, v, t, N_MOMENT)
@@ -328,6 +335,14 @@ def test_slice_of_half_ball_cone_keeps_the_sphere_box():
     pts = gp.sample_slice(gp.SampleStream(25, 0), body, v, t, 20000)
     assert np.allclose(pts @ v, t, atol=1e-12)
     assert body.contains_batch(pts).all()
+    _assert_in_frame(body, v, t, pts)
+    cut = gp.Cut(body, gp.Halfspace.through([1.0, 1.0, 0.0], -0.3))
+    tilted = gp.affine_image(cut, np.array([[1.2, 0.3, 0.0], [0.0, 0.8, 0.0], [0.1, 0.0, 1.1]]), [0.1, 0.0, -0.2])
+    w = np.array([0.6, 0.0, 0.8])
+    for k, other in enumerate((cut, tilted)):
+        pts = gp.sample_slice(gp.SampleStream(25, 1 + k), other, w, 0.1, 5000)
+        assert np.allclose(pts @ w, 0.1, atol=1e-12) and other.contains_batch(pts).all()
+        _assert_in_frame(other, w, 0.1, pts)
 
 
 FRAME_BODIES = {
@@ -361,7 +376,9 @@ def test_slice_frame_is_the_exact_extent_of_the_section(name):
         for j, frac in enumerate((0.3, 0.5, 0.7)):
             t = a + frac * (b - a)
             basis, box, anchor = _slice_frame(body, v, t)
-            big = gp.bounding_box(body).max_norm()
+            # the plane's cut of the sphere about the origin through the farthest corner of the body's box
+            whole = gp.bounding_box(body)
+            big = float(np.sqrt(np.sum(np.maximum(whole.lo**2, whole.hi**2))))
             r = math.sqrt(big * big - t * t)
             sphere_box = gp.BoundingBox(np.full(d - 1, -r), np.full(d - 1, r))
             stream = root.substream(3 * i + j)
