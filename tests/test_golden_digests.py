@@ -262,7 +262,7 @@ GOLDEN = {
     "estimate/slice_measure_d4": "0f4b13a1de5fca310738c8f8f2fa4f54d9dfa64c22393c4a3942a2e3887084ad",
     "estimate/volume": "dbb64cb9d861922da3c0328b96ae5fc04469101c09e7b2e08a98b506bf3f51e9",
     "geometry/affine_half_ball": "091edd25b0503a037bd5b3fbdf2776b9dbb0c74f9eeab0e5afa099787ade1c47",
-    "geometry/affine_polygon": "0108c8ab6fb62fbc4b6ddf01db6caa98ae7bc5706c29782bdadd453d6f2d0510",
+    "geometry/affine_polygon": "d99178b05ef8118f4b675bb1b1e13eb1e47dc4a9af03e8c9cc14e35ccdf25629",
     "geometry/affine_tilted_cut": "84f4b89e4340f674e1d0812daf9748b6a54520ef75f065df2c3f45136a16be98",
     "geometry/ball": "fa33a3f92ae4a38a225abbacfd38e17276db73f38c1ac124bed1f283fc072bd0",
     "geometry/cut_cone": "97a88734109055f6924da8ae723c1b96af29e8e6e957e81a9c61412e7b839b41",
@@ -279,7 +279,7 @@ GOLDEN = {
     "sample/ball": "af4fb8fd4a80d722f10408c09dd766af66f311abfdaa14c3b82edf78c39d9b67",
     "sample/base_reject": "bf356216fce0113405b53c1bb50c1c0c46c96ef1eb82e960248b5f514756eef7",
     "sample/base_reject_tilted": "a81cd239c451ff4bffd060ff73dd74a392a14f75b6c97ba117bcd341fa7e23aa",
-    "sample/box_reject_affine": "4d3882de76090ccf45281f31e917e5def3cf05441185a5d1afb2be762417c3a0",
+    "sample/box_reject_affine": "4d61e0140c20b951c0024d6560fc2199719bbc52560d1df1bd6be6afd40a080e",
     "sample/box_reject_capped": "6c6d3a6492de63ec05aa995806845a3bf5caf252856a0ff06ac3619e3dae900b",
     "sample/box_reject_polygon": "8d3247d653171942d5db1542d9137ce0001a917a11e3bbdf51304cc5497301d6",
     "sample/box_reject_simplex": "b786e3c2ec2a500bfa3874d9c618cd3eac1571ab4c58c1e31dc6b6893e5d0421",
