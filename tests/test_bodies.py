@@ -152,7 +152,7 @@ def test_cut_through_ball_center_has_half_volume():
         lambda: _hull_point_cap(),
         lambda: _tilted_polygon_cut(),
         lambda: _affine_cone(),
-        lambda: gp.affine_image(_cut_cone(), np.array([[1.0, 0.4, 0.0], [0.0, 0.8, 0.3], [0.2, 0.0, 1.2]]), [0.0, 0.5, -0.1]),
+        lambda: gp.affine_image(_cut_cone(), [[1.0, 0.4, 0.0], [0.0, 0.8, 0.3], [0.2, 0.0, 1.2]], [0.0, 0.5, -0.1]),
         lambda: gp.Cut(_affine_cone(), gp.Halfspace.through([1.0, 1.0, 0.5], 0.3)),
         lambda: gp.Cut(_cut_cone(), gp.Halfspace.through([-1.0, 0.0, 1.0], -0.4)),
     ],
