@@ -285,6 +285,45 @@ def _polytope_support(body, v, cuts) -> tuple[float, float]:
     return float(proj.min()), float(proj.max())
 
 
+def _triangulation(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """A pulling triangulation of a polytope from its vertices' row incidence: (s, d + 1) vertex indices.
+
+    A row is tight at a vertex when it holds within VERTEX_TOL, the tolerance
+    at which the enumeration keeps vertices apart. A face of dimension k,
+    given by its vertex indices in order, pulls its first vertex p: its
+    simplices are p joined to those of each facet of the face that misses p.
+    Such a facet is the set of the face's vertices tight at one more row,
+    of affine dimension k - 1. One facet can come from several rows (a
+    repeated row; in d >= 4, rows through a common ridge), so each is kept
+    once by its vertex set. A face of k + 1 vertices is its own simplex, and
+    a flat polytope has none.
+    """
+    d = vertices.shape[1]
+    tight = np.abs(vertices @ normals.T - offsets) <= VERTEX_TOL
+
+    def rank(face: tuple) -> int:
+        return int(np.linalg.matrix_rank(vertices[list(face[1:])] - vertices[face[0]]))
+
+    @functools.cache
+    def simplices(face: tuple, k: int) -> list[tuple]:
+        if len(face) == k + 1:
+            return [face]
+        out, seen = [], set()
+        for row in tight[list(face)].T:
+            facet = tuple(i for i, t in zip(face, row) if t)
+            if row[0] or len(facet) < k or facet in seen:
+                continue
+            seen.add(facet)
+            if rank(facet) == k - 1:
+                out += [(face[0], *s) for s in simplices(facet, k - 1)]
+        return out
+
+    whole = tuple(range(len(vertices)))
+    if len(whole) <= d or rank(whole) < d:
+        return np.empty((0, d + 1), dtype=int)
+    return np.array(simplices(whole, d))
+
+
 def _ball_cut_max(ball: "Ball", u: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> float:
     """max of <u, x> over the ball intersected with {x : <n_i, x> >= t_i}, for unit u.
 
@@ -325,7 +364,7 @@ def _ball_cut_max(ball: "Ball", u: np.ndarray, normals: np.ndarray, offsets: np.
 
 
 class ConvexBody:
-    """The body protocol: ``dim`` plus five methods, defined by every body type.
+    """The body protocol: ``dim`` plus six methods, defined by every body type.
 
     - ``contains_batch(pts)``: vectorized membership;
     - ``box()``: an axis-aligned ``BoundingBox`` containing the body, formed
@@ -334,6 +373,8 @@ class ConvexBody:
       or, where a HalfBallCone in the body is cut, that of the body with
       the cone replaced by its box;
     - ``volume()``: the closed-form volume, or None where there is none;
+    - ``moments()``: the exact (volume, centroid, covariance), or None where
+      they have no closed form here, the default;
     - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
       intersected with the halfspaces ``cuts``, in closed form or over the
       vertices; each nesting level normalizes v. A HalfBallCone under cuts
@@ -352,6 +393,9 @@ class ConvexBody:
 
     def box(self) -> BoundingBox:
         return self._box
+
+    def moments(self) -> tuple[float, np.ndarray, np.ndarray] | None:
+        return None
 
     @functools.cached_property
     def _box(self) -> BoundingBox:
@@ -406,8 +450,9 @@ class HPolytope(ConvexBody):
 
     Normals are stored unit length (rows). The vertices (``_tight_points``)
     are computed once here, and the box, their extremes, is formed on its
-    first call and kept; rejection sampling proposes from the box. Unbounded
-    halfspaces raise InvalidBodyError, and an empty intersection
+    first call and kept; rejection sampling proposes from the box. The exact
+    moments come from a triangulation of the vertices (``_triangulation``).
+    Unbounded halfspaces raise InvalidBodyError, and an empty intersection
     DegenerateBodyError.
     """
 
@@ -448,6 +493,29 @@ class HPolytope(ConvexBody):
         if np.any(np.abs(axis - 1.0) > 1e-12) or np.any(a.sum(axis=1) - axis > 1e-12):
             return None
         return self.box().volume()
+
+    def moments(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """Exact (volume, centroid, covariance), summed over the simplices of ``_triangulation``.
+
+        A simplex of volume V and vertices v_0..v_d has integral V mean(v_i)
+        of x and V/((d+1)(d+2)) (sum v_i v_i^T + (sum v_i)(sum v_i)^T) of
+        x x^T. Coordinates are taken about the mean vertex, so that the
+        covariance does not cancel against a far-off origin. A flat polytope
+        raises DegenerateBodyError.
+        """
+        d = self.dim
+        simplices = _triangulation(self.vertices, self.normals, self.offsets)
+        if not len(simplices):
+            raise DegenerateBodyError("the polytope is flat: it has no volume")
+        ref = self.vertices.mean(axis=0)
+        v = self.vertices[simplices] - ref
+        vols = np.abs(np.linalg.det(v[:, 1:] - v[:, :1])) / math.factorial(d)
+        vol = float(vols.sum())
+        sums = v.sum(axis=1)
+        mu = vols @ sums / ((d + 1) * vol)
+        outer = np.einsum("ski,skj->sij", v, v) + sums[:, :, None] * sums[:, None, :]
+        cov = np.einsum("s,sij->ij", vols, outer) / ((d + 1) * (d + 2) * vol) - np.outer(mu, mu)
+        return vol, mu + ref, 0.5 * (cov + cov.T)
 
     def support(self, v, cuts=()) -> tuple[float, float]:
         return _polytope_support(self, v, cuts)

@@ -300,6 +300,9 @@ def detcov_counterexample(
     point of the hull, cut a small cap around it, and verify both the
     analytic derivative of det A and a shared-sample finite difference show
     det A increasing: an explicit nested pair with reversed determinants.
+    Both bodies are HPolytopes, so each is isotropized from its exact
+    moments and draws nothing; the derivative and the difference draw from
+    substreams 2 and 3 of the seed.
 
     ball (d=3): the isotropic ball has boundary norm sqrt(5) > sqrt(3), so
     this mechanism cannot fire; reported inconclusive by design.
@@ -347,7 +350,7 @@ def detcov_counterexample(
 
     # isotropized regular simplex: facet centers at the extremal inradius
     base = regular_simplex(3, 1.0)
-    iso_base = isotropic_transform(base, min(n, 10**6), stream.substream(0))
+    iso_base = isotropic_transform(base)
     centers = -regular_simplex_vertices(3, 1.0) / 3.0
     image_centers = centers @ iso_base.matrix.T + iso_base.shift
     facet_norm = float(np.linalg.norm(image_centers, axis=1).min())
@@ -355,7 +358,7 @@ def detcov_counterexample(
 
     # hull-point body, isotropized, with the support direction at the new vertex
     body, xa = simplex_with_hull_point(alpha)
-    iso = isotropic_transform(body, max(min(n, 2 * 10**6), 10**6), stream.substream(1))
+    iso = isotropic_transform(body)
     x_iso = iso.matrix @ xa + iso.shift
     new_normals = body.normals[-3:] @ iso.inverse
     new_normals /= np.linalg.norm(new_normals, axis=1, keepdims=True)

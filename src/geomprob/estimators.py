@@ -313,17 +313,25 @@ def volume_with_stderr(body: ConvexBody, n: int, seed) -> tuple[float, float]:
 
 
 def isotropic_transform(body: ConvexBody, n: int = 10**5, seed=0) -> ConvexBody:
-    """Affine image with estimated centroid 0 and covariance the identity.
+    """Affine image with centroid 0 and covariance the identity.
 
-    M is the inverse square root of the covariance estimate (symmetric
+    The centroid and covariance are the body's exact ``moments()`` where it
+    has them, as an ``HPolytope`` does, and then nothing is drawn and n and
+    seed are unused; else they are ``covariance_estimate``'s from n points.
+    M is the inverse square root of the covariance (symmetric
     eigendecomposition) and the shift is -M mu. A covariance whose smallest
     eigenvalue is at most MIN_EIGENVALUE_RATIO times its largest raises.
     """
-    est = covariance_estimate(body, n, seed)
-    eigvals, eigvecs = np.linalg.eigh(est.matrix)
+    moments = body.moments()
+    if moments is not None:
+        _, centroid, cov = moments
+    else:
+        est = covariance_estimate(body, n, seed)
+        centroid, cov = est.centroid, est.matrix
+    eigvals, eigvecs = np.linalg.eigh(cov)
     if float(eigvals.min()) <= MIN_EIGENVALUE_RATIO * float(eigvals.max()):
         raise SingularTransformError(
-            f"covariance estimate is near-singular (eigenvalues {eigvals.min():.3e} to {eigvals.max():.3e})"
+            f"covariance is near-singular (eigenvalues {eigvals.min():.3e} to {eigvals.max():.3e})"
         )
     m = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
-    return affine_image(body, m, -m @ est.centroid)
+    return affine_image(body, m, -m @ centroid)

@@ -23,6 +23,7 @@ from geomprob.bodies import (
     _inside,
     _row_norms,
     _tight_points,
+    _triangulation,
 )
 
 MEMBERSHIP_N = 4000
@@ -619,6 +620,81 @@ def test_simplex_with_hull_point_geometry():
         gp.simplex_with_hull_point(1.0)
     with pytest.raises(gp.InvalidBodyError):
         gp.simplex_with_hull_point(2.0)
+
+
+# ---------------------------------------------------------------------------
+# triangulation and exact moments
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_cube_triangulation_has_d_factorial_simplices(d):
+    cube = gp.unit_cube(d)
+    assert len(_triangulation(cube.vertices, cube.normals, cube.offsets)) == math.factorial(d)
+    vol, centroid, cov = cube.moments()
+    assert abs(vol - 1.0) <= 1e-14
+    assert np.abs(centroid - 0.5).max() <= 1e-14
+    assert np.abs(cov - np.eye(d) / 12.0).max() <= 1e-14
+
+
+def test_isotropic_simplex_moments_are_isotropic():
+    vol, centroid, cov = gp.isotropic_simplex(3).moments()
+    edge = math.sqrt(15.0 * 8.0 / 3.0)
+    assert math.isclose(vol, edge**3 / (6.0 * math.sqrt(2.0)), rel_tol=1e-14)
+    assert np.abs(centroid).max() <= 1e-14
+    assert np.abs(cov - np.eye(3)).max() <= 1e-14
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(2, 4), extra=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_hpolytope_moments_match_the_hull(d, extra, seed):
+    from scipy.spatial import ConvexHull, Delaunay
+
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(d + 1 + extra, d))
+    hull = ConvexHull(pts)
+    # qhull splits a facet that is not a simplex into simplices, each with its own copy of the row
+    poly = gp.HPolytope(-hull.equations[:, :-1], hull.equations[:, -1])
+    vol, centroid, _ = poly.moments()
+    assert abs(vol - hull.volume) <= 1e-12 * hull.volume
+    corners = pts[hull.vertices]
+    simplices = corners[Delaunay(corners).simplices]
+    weights = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1]))
+    expected = weights @ simplices.mean(axis=1) / weights.sum()
+    assert np.abs(centroid - expected).max() <= 1e-12 * np.abs(corners).max()
+
+
+@pytest.mark.parametrize(
+    "normals, offsets",
+    [
+        (gp.simplex_with_hull_point(1.2)[0].normals, gp.simplex_with_hull_point(1.2)[0].offsets),
+        # the unit 4-cube cut by a tilted halfspace: rows through a common ridge
+        (np.vstack([np.eye(4), -np.eye(4), [[1.0, 2.0, -1.0, 0.5]]]), np.r_[np.zeros(4), -np.ones(4), 0.4]),
+    ],
+)
+def test_a_repeated_row_leaves_the_moments_bit_for_bit(normals, offsets):
+    once = gp.HPolytope(normals, offsets)
+    twice = gp.HPolytope(np.vstack([normals, normals[2]]), np.append(offsets, offsets[2]))
+    for a, b in zip(once.moments(), twice.moments()):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_hull_point_covariance_estimate_is_within_four_sigma_of_the_exact_one():
+    body, _ = gp.simplex_with_hull_point(1.2)
+    _, centroid, cov = body.moments()
+    est = gp.covariance_estimate(body, 256_000, seed=31)
+    assert np.abs(est.matrix - cov).max() <= 4.0 * est.stderr_scale
+    assert np.abs(est.centroid - centroid).max() <= 0.02
+
+
+def test_a_flat_polytope_has_no_moments():
+    segment = gp.HPolytope([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 0, -1])
+    with pytest.raises(gp.DegenerateBodyError, match="flat"):
+        segment.moments()
+
+
+def test_bodies_without_closed_moments_return_none():
+    assert gp.Ball(np.zeros(3), 1.0).moments() is None
+    assert gp.affine_image(gp.unit_cube(2), np.eye(2), [1.0, 0.0]).moments() is None
 
 
 def test_truncated_cone_is_nested_in_the_full_cone():

@@ -340,3 +340,8 @@ def test_counterexample_d3_reports_only():
     assert rep.verdict == "inconclusive"
     for key in ("moment", "pinned_apex", "delta", "delta_stderr", "z"):
         assert key in rep.metrics
+
+
+def test_counterexample_isotropizes_the_simplex_exactly():
+    rep = gp.detcov_counterexample(n=128_000, seed=0, variant="simplex")
+    assert abs(rep.metrics["facet_center_norm"] - math.sqrt(5.0 / 3.0)) <= 1e-12

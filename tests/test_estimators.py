@@ -251,6 +251,26 @@ def test_isotropic_transform_rejects_a_flat_body():
         gp.isotropic_transform(gp.box_body([0.0, 0.0], [1.0, 1e-6]), N_FAST, seed=22)
 
 
+def test_isotropic_transform_of_a_polytope_is_exact(monkeypatch):
+    body, _ = gp.simplex_with_hull_point(1.2)
+    first = gp.isotropic_transform(body, N_FAST, seed=23)
+    second = gp.isotropic_transform(body, 64 * 10, seed=24)
+    assert first.matrix.tobytes() == second.matrix.tobytes()
+    assert first.shift.tobytes() == second.shift.tobytes()
+    _, centroid, cov = body.moments()
+    assert np.abs(first.matrix @ cov @ first.matrix.T - np.eye(3)).max() <= 1e-12
+    assert np.abs(first.matrix @ centroid + first.shift).max() <= 1e-12
+    # a polytope draws nothing, so the flat box raises from its exact covariance
+
+    def no_draws(*args):
+        raise AssertionError("covariance_estimate was called")
+
+    monkeypatch.setattr(gp.estimators, "covariance_estimate", no_draws)
+    gp.isotropic_transform(body, N_FAST, seed=25)
+    with pytest.raises(gp.SingularTransformError):
+        gp.isotropic_transform(gp.box_body([0.0, 0.0], [1.0, 1e-6]), N_FAST, seed=22)
+
+
 def test_expectation_estimate_checks_small_n():
     with pytest.raises(ValueError):
         gp.moment_estimate(gp.Ball(np.zeros(2), 1.0), 1, 10, seed=0)

@@ -24,6 +24,12 @@ def test_gate_sweep_runs_one_seed_of_planar_corpus():
     assert run.stdout.splitlines()[-1] == "total: 0/41 checks failed over 1 seeds"
 
 
+def test_gate_sweep_runs_one_seed_of_derivative_check():
+    run = _tool("gate_sweep.py", "--workload", "derivative-check", "--seeds", "0")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "total: 0/9 checks failed over 1 seeds"
+
+
 def test_gate_sweep_rejects_an_empty_seed_range():
     run = _tool("gate_sweep.py", "--workload", "planar-corpus", "--seeds", "3..1")
     assert run.returncode == 2
