@@ -292,36 +292,35 @@ def _triangulation(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarra
     at which the enumeration keeps vertices apart. A face of dimension k,
     given by its vertex indices in order, pulls its first vertex p: its
     simplices are p joined to those of each facet of the face that misses p.
-    Such a facet is the set of the face's vertices tight at one more row,
-    of affine dimension k - 1. One facet can come from several rows (a
-    repeated row; in d >= 4, rows through a common ridge), so each is kept
-    once by its vertex set. A face of k + 1 vertices is its own simplex, and
-    a flat polytope has none.
+    The face's vertices tight at any one more row form a smaller face, and
+    the facets are those of these vertex sets that no other one contains.
+    Taken as sets, a facet that several rows give (a repeated row; in
+    d >= 4, the rows of the facets through one edge) counts once, and no
+    facet needs a rank test, which the VERTEX_TOL slack of a tight vertex
+    could fool. A face of k + 1 vertices is its own simplex, and a flat
+    polytope has none.
     """
     d = vertices.shape[1]
     tight = np.abs(vertices @ normals.T - offsets) <= VERTEX_TOL
-
-    def rank(face: tuple) -> int:
-        return int(np.linalg.matrix_rank(vertices[list(face[1:])] - vertices[face[0]]))
 
     @functools.cache
     def simplices(face: tuple, k: int) -> list[tuple]:
         if len(face) == k + 1:
             return [face]
-        out, seen = [], set()
-        for row in tight[list(face)].T:
-            facet = tuple(i for i, t in zip(face, row) if t)
-            if row[0] or len(facet) < k or facet in seen:
-                continue
-            seen.add(facet)
-            if rank(facet) == k - 1:
+        incidence = tight[list(face)]
+        faces = np.unique(incidence[:, ~incidence.all(axis=0)].T, axis=0)
+        # within[a, b]: face a lies in face b; a facet lies in itself only
+        within = faces.astype(int) @ (~faces).T.astype(int) == 0
+        out = []
+        for mask in faces[within.sum(axis=1) == 1]:
+            if not mask[0]:
+                facet = tuple(np.array(face)[mask].tolist())
                 out += [(face[0], *s) for s in simplices(facet, k - 1)]
         return out
 
-    whole = tuple(range(len(vertices)))
-    if len(whole) <= d or rank(whole) < d:
+    if len(vertices) <= d or np.linalg.matrix_rank(vertices[1:] - vertices[0]) < d:
         return np.empty((0, d + 1), dtype=int)
-    return np.array(simplices(whole, d))
+    return np.array(simplices(tuple(range(len(vertices))), d))
 
 
 def _ball_cut_max(ball: "Ball", u: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> float:

@@ -644,23 +644,32 @@ def test_isotropic_simplex_moments_are_isotropic():
     assert np.abs(cov - np.eye(3)).max() <= 1e-14
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(d=st.integers(2, 4), extra=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
-def test_hpolytope_moments_match_the_hull(d, extra, seed):
+def _assert_moments_match_the_hull(pts):
+    """The polytope of qhull's rows for conv(pts) has qhull's volume, and the centroid of its Delaunay simplices."""
     from scipy.spatial import ConvexHull, Delaunay
 
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(d + 1 + extra, d))
     hull = ConvexHull(pts)
-    # qhull splits a facet that is not a simplex into simplices, each with its own copy of the row
-    poly = gp.HPolytope(-hull.equations[:, :-1], hull.equations[:, -1])
-    vol, centroid, _ = poly.moments()
+    # qhull's facets are {x : <a, x> + b <= 0}; a facet that is not a simplex has one copy of its row per piece
+    vol, centroid, _ = gp.HPolytope(-hull.equations[:, :-1], hull.equations[:, -1]).moments()
     assert abs(vol - hull.volume) <= 1e-12 * hull.volume
     corners = pts[hull.vertices]
     simplices = corners[Delaunay(corners).simplices]
     weights = np.abs(np.linalg.det(simplices[:, 1:] - simplices[:, :1]))
     expected = weights @ simplices.mean(axis=1) / weights.sum()
     assert np.abs(centroid - expected).max() <= 1e-12 * np.abs(corners).max()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(2, 4), extra=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_hpolytope_moments_match_the_hull(d, extra, seed):
+    _assert_moments_match_the_hull(np.random.default_rng(seed).normal(size=(d + 1 + extra, d)))
+
+
+@pytest.mark.parametrize("corners", [[0, 8, 4, 12, 6, 1, 13, 11, 15], [0, 1, 2, 4, 8, 15], [0, 3, 5, 6, 9, 10, 12, 15]])
+def test_zero_one_polytope_moments_match_the_hull(corners):
+    # hulls of 4-cube vertices (bit b of an index is coordinate b) are neither simple nor
+    # simplicial, so a face's facets meet in edges that lie in several more facets
+    _assert_moments_match_the_hull(np.array([[(i >> b) & 1 for b in range(4)] for i in corners], dtype=float))
 
 
 @pytest.mark.parametrize(
