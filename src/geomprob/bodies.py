@@ -307,15 +307,15 @@ def _triangulation(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarra
     def simplices(face: tuple, k: int) -> list[tuple]:
         if len(face) == k + 1:
             return [face]
-        incidence = tight[list(face)]
+        members = np.array(face)
+        incidence = tight[members]
         faces = np.unique(incidence[:, ~incidence.all(axis=0)].T, axis=0)
         # within[a, b]: face a lies in face b; a facet lies in itself only
         within = faces.astype(int) @ (~faces).T.astype(int) == 0
         out = []
         for mask in faces[within.sum(axis=1) == 1]:
             if not mask[0]:
-                facet = tuple(np.array(face)[mask].tolist())
-                out += [(face[0], *s) for s in simplices(facet, k - 1)]
+                out += [(face[0], *s) for s in simplices(tuple(members[mask].tolist()), k - 1)]
         return out
 
     if len(vertices) <= d or np.linalg.matrix_rank(vertices[1:] - vertices[0]) < d:
@@ -372,8 +372,8 @@ class ConvexBody:
       or, where a HalfBallCone in the body is cut, that of the body with
       the cone replaced by its box;
     - ``volume()``: the closed-form volume, or None where there is none;
-    - ``moments()``: the exact (volume, centroid, covariance), or None where
-      they have no closed form here, the default;
+    - ``moments()``: the exact (volume, centroid, covariance), or None, the
+      default, where the body type has no closed form for them;
     - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
       intersected with the halfspaces ``cuts``, in closed form or over the
       vertices; each nesting level normalizes v. A HalfBallCone under cuts
