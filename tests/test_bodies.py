@@ -673,14 +673,15 @@ def test_zero_one_polytope_moments_match_the_hull(corners):
 
 
 @pytest.mark.parametrize(
-    "normals, offsets",
+    "make",
     [
-        (gp.simplex_with_hull_point(1.2)[0].normals, gp.simplex_with_hull_point(1.2)[0].offsets),
-        # the unit 4-cube cut by a tilted halfspace: rows through a common ridge
-        (np.vstack([np.eye(4), -np.eye(4), [[1.0, 2.0, -1.0, 0.5]]]), np.r_[np.zeros(4), -np.ones(4), 0.4]),
+        lambda: gp.simplex_with_hull_point(1.2)[0],
+        lambda: gp.intersect_halfspace(gp.unit_cube(4), gp.Halfspace.through([1.0, 2.0, -1.0, 0.5], 0.4)),
     ],
 )
-def test_a_repeated_row_leaves_the_moments_bit_for_bit(normals, offsets):
+def test_a_repeated_row_leaves_the_moments_bit_for_bit(make):
+    body = make()
+    normals, offsets = body.normals, body.offsets
     once = gp.HPolytope(normals, offsets)
     twice = gp.HPolytope(np.vstack([normals, normals[2]]), np.append(offsets, offsets[2]))
     for a, b in zip(once.moments(), twice.moments()):
