@@ -1,4 +1,4 @@
-"""Convex body types, exact volumes, and constructive geometry.
+"""Convex body types, exact volumes, exact samplers, and constructive geometry.
 
 Bodies are desk scale (dimension at most 8) and immutable after
 construction. Membership tests are vectorized over point batches because the
@@ -28,6 +28,7 @@ VERTEX_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
 SINGULAR_COND = 1e12  # a matrix of larger condition number counts as singular
 VERTEX_CHUNK = 4096  # row subsets per batched solve of the vertex enumeration
+SLICE_BASIS_TOL = 1e-10
 
 
 def _as_vector(x, d: int | None = None) -> np.ndarray:
@@ -363,7 +364,7 @@ def _ball_cut_max(ball: "Ball", u: np.ndarray, normals: np.ndarray, offsets: np.
 
 
 class ConvexBody:
-    """The body protocol: ``dim`` plus six methods, defined by every body type.
+    """The body protocol: ``dim`` plus seven methods, defined by every body type.
 
     - ``contains_batch(pts)``: vectorized membership;
     - ``box()``: an axis-aligned ``BoundingBox`` containing the body, formed
@@ -377,12 +378,12 @@ class ConvexBody:
     - ``support(v, cuts=())``: the exact (inf, sup) of <v, x> over the body
       intersected with the halfspaces ``cuts``, in closed form or over the
       vertices; each nesting level normalizes v. A HalfBallCone under cuts
-      raises InvalidBodyError. No body draws a sample;
+      raises InvalidBodyError;
+    - ``sampler()``: an exact sampler ``fn(stream, n)`` of (n, dim) uniform
+      points, or None, the default, where ``sample_body`` rejects instead;
     - ``to_json()``: the JSON object that ``body_from_json`` reads back.
 
-    A new body type is one subclass; the module-level functions delegate,
-    except that a body with an exact sampler also needs its branch in
-    ``sampling._direct_sampler``, which dispatches on the type.
+    A new body type is one subclass; the module-level functions delegate.
     """
 
     dim: int
@@ -394,6 +395,9 @@ class ConvexBody:
         return self._box
 
     def moments(self) -> tuple[float, np.ndarray, np.ndarray] | None:
+        return None
+
+    def sampler(self):
         return None
 
     @functools.cached_property
@@ -438,6 +442,9 @@ class Ball(ConvexBody):
         normals = np.array([h.normal for h in cuts])
         offsets = np.array([h.offset for h in cuts])
         return -_ball_cut_max(self, -u, normals, offsets), _ball_cut_max(self, u, normals, offsets)
+
+    def sampler(self):
+        return lambda stream, n: sample_ball(stream, n, self.dim, self.center, self.radius)
 
     def to_json(self) -> dict:
         return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
@@ -595,6 +602,9 @@ class HalfBallCone(ConvexBody):
 
         return -top(-u), top(u)
 
+    def sampler(self):
+        return lambda stream, n: _sample_half_ball_cone(stream, n, self)
+
     def to_json(self) -> dict:
         return {"type": "halfballcone", "d": self.d, "eps": self.eps, "delta": self.delta}
 
@@ -684,6 +694,26 @@ class Cut(ConvexBody):
     def support(self, v, cuts=()) -> tuple[float, float]:
         return self.base.support(v, (self.halfspace, *cuts))
 
+    def sampler(self):
+        """Reflection for a ball cut through its center, the slab sampler for a ball cut along one line, else None."""
+        h, ball = self.halfspace, self.base
+        if isinstance(ball, Ball) and abs(float(h.normal @ ball.center) - h.offset) <= 1e-12:
+            # hyperplane through the center: reflect the wrong side over,
+            # subtracting (2 proj) n_j from column j of the wrong rows
+            def fn(stream, n):
+                pts = sample_ball(stream, n, ball.dim, ball.center, ball.radius)
+                proj = _rowwise(np.subtract, pts, ball.center) @ h.normal
+                wrong = np.flatnonzero(proj < 0)
+                step = 2.0 * proj[wrong]
+                for j in range(ball.dim):
+                    col = pts[:, j]
+                    col[wrong] -= step * h.normal[j]
+                return pts
+
+            return fn
+        params = parallel_slab_params(self)
+        return None if params is None else _slab_sampler(*params)
+
     def to_json(self) -> dict:
         base, h = self.base.to_json(), self.halfspace
         return {"type": "cut", "base": base, "normal": h.normal.tolist(), "offset": h.offset}
@@ -738,6 +768,16 @@ class AffineImage(ConvexBody):
         lo, hi = self.base.support(w / s, pulled)
         off = float(v @ self.shift)
         return s * lo + off, s * hi + off
+
+    def sampler(self):
+        """The base's sampler with its points mapped by M and shifted, or None where the base has none."""
+        inner = self.base.sampler()
+
+        def image(stream, n):
+            pts = inner(stream, n) @ self.matrix.T
+            return _rowwise(np.add, pts, self.shift, out=pts)
+
+        return None if inner is None else image
 
     def to_json(self) -> dict:
         base, matrix, shift = self.base.to_json(), self.matrix.tolist(), self.shift.tolist()
@@ -935,6 +975,146 @@ def _lower_ppf_beta(d: int, qq: np.ndarray) -> np.ndarray:
     tail = qq < 0.1
     y = betaincinv(np.where(tail, a, 0.5), np.where(tail, 0.5, a), np.where(tail, 2.0 * qq, 1.0 - 2.0 * qq))
     return -np.sqrt(np.maximum(np.where(tail, 1.0 - y, y), 0.0))
+
+
+def sample_ball(stream, n: int, d: int, center=None, radius: float = 1.0) -> np.ndarray:
+    """n uniform points in a d-ball via normalized Gaussians times U^(1/d).
+
+    The (n, d) normals are drawn first from ``stream`` (a ``SampleStream``),
+    then the n uniforms. Each column of the normals is divided by the norms,
+    multiplied by r and by the radius and shifted by its center coordinate,
+    in place: the same IEEE operations, in the same order, as
+    ``g / norms * r * radius + center`` broadcast along the rows, so the
+    points are that formula's, bit for bit.
+
+    A uniform of 1.0 gives a normal of +inf, and inf / inf would make that
+    row NaN. A row of infinite norm is given its limit direction instead:
+    +-1 on its infinite coordinates and 0 elsewhere, over its norm. Rows of
+    finite norm are untouched.
+    """
+    g = stream.normal((n, d))
+    norms = _row_norms(g)
+    norms[norms == 0] = 1.0
+    far = np.flatnonzero(np.isinf(norms))
+    if len(far):
+        g[far] = np.where(np.isinf(g[far]), np.sign(g[far]), 0.0)
+        norms[far] = _row_norms(g[far])
+    r = stream.uniform(n) ** (1.0 / d)
+    c = None if center is None else np.asarray(center, dtype=float)
+    for j in range(d):
+        col = g[:, j]
+        col /= norms
+        col *= r
+        col *= radius
+        if c is not None:
+            col += c[j]
+    return g
+
+
+def _sample_half_ball_cone(stream, n: int, body: HalfBallCone) -> np.ndarray:
+    """Piecewise direct sampler: half-ball part and cone frustum part.
+
+    The frustum is the cone from apex (-eps, 0, ...) with its tip below
+    x_1 = -eps + delta removed; radial scaling s about the apex is drawn
+    from the exact cone volume profile.
+
+    The two pieces are placed column by column through the piece masks,
+    which gives the array that ``out[take_half] = pts`` and
+    ``out[~take_half] = cone`` give, without scattering whole rows.
+    """
+    d, eps, delta = body.d, body.eps, body.delta
+    p_half = exact.kappa(d).to_float() / 2.0 / body.volume()
+    take_half = stream.uniform(n) < p_half
+
+    n_half = int(take_half.sum())
+    pts = sample_ball(stream, n_half, d)
+    np.abs(pts[:, 0], out=pts[:, 0])
+
+    n_cone = n - n_half
+    base = sample_ball(stream, n_cone, d - 1)
+    u = stream.uniform(n_cone)
+    low = (delta / eps) ** d
+    s = (low + u * (1.0 - low)) ** (1.0 / d)
+    cone = np.empty((n_cone, d))
+    cone[:, 0] = -eps + s * eps
+    for j in range(1, d):
+        np.multiply(base[:, j - 1], s, out=cone[:, j])
+    out = np.empty((n, d))
+    take_cone = ~take_half
+    for j in range(d):
+        col = out[:, j]
+        col[take_half] = pts[:, j]
+        col[take_cone] = cone[:, j]
+    return out
+
+
+def _slab_sampler(ball: Ball, axis: np.ndarray, s_lo: float, s_hi: float):
+    """Exact sampler for a ball restricted to s_lo <= <axis, x - c>/R <= s_hi.
+
+    The axis coordinate is drawn by inverting its marginal CDF on the slab's
+    quantile interval (``_slab_quantiles``, as ``Cut.volume`` takes it);
+    where that is mirrored, q falls as the uniform rises, so s still rises.
+    The transverse part is uniform in the section ball. No rejection, so
+    arbitrarily thin caps cost the same as thick ones. Each point takes one
+    uniform for the axis and d - 1 normals and one uniform for the section.
+    The inverse CDF (``_ball_axis_ppf``) is the closed-form root of a cubic
+    at d = 3, a table polished by Newton steps at d = 4, else ``betaincinv``.
+
+    Points are built column by column: the axis part s a_j, plus the
+    section's part ``(section * b) @ basis`` for d - 1 ball points b, then
+    times the ball's radius and plus its center coordinate. These are the
+    IEEE operations of ``center + radius * (s a + (b section) @ basis)``
+    broadcast along the rows, so the points are that formula's, bit for bit.
+    """
+    d = ball.dim
+    sign, q_lo, q_hi = _slab_quantiles(d, s_lo, s_hi)
+    if not q_lo < q_hi:
+        return None
+    basis = slice_basis(axis) if d >= 2 else None
+
+    def fn(stream, n: int) -> np.ndarray:
+        u = stream.uniform(n)
+        q = q_hi - u * (q_hi - q_lo) if sign < 0 else q_lo + u * (q_hi - q_lo)
+        s = sign * _ball_axis_ppf(d, q)
+        pts = np.empty((n, d))
+        for j in range(d):
+            np.multiply(s, axis[j], out=pts[:, j])
+        if d >= 2:
+            section = np.sqrt((1.0 - s) * (1.0 + s))
+            b = sample_ball(stream, n, d - 1)
+            for k in range(d - 1):
+                b[:, k] *= section
+            pts += b @ basis
+        for j in range(d):
+            col = pts[:, j]
+            col *= ball.radius
+            col += ball.center[j]
+        return pts
+
+    return fn
+
+
+def slice_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the hyperplane orthogonal to unit v, shape (d-1, d).
+
+    Deterministic: Gram-Schmidt of the coordinate axes against v, keeping
+    axes whose residual exceeds SLICE_BASIS_TOL.
+    """
+    d = v.shape[0]
+    rows = [v]
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = 1.0
+        for r in rows:
+            e -= (e @ r) * r
+        norm = float(np.linalg.norm(e))
+        if norm > SLICE_BASIS_TOL:
+            rows.append(e / norm)
+        if len(rows) == d:
+            break
+    if len(rows) != d:
+        raise DimensionError("could not complete an orthonormal slice basis")
+    return np.array(rows[1:])
 
 
 def _cut_chain(body: ConvexBody) -> tuple[list[Halfspace], ConvexBody]:

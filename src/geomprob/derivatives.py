@@ -179,13 +179,20 @@ def detcov_derivative_rhs(fam: CutFamily, t: float, n: int, seed=0) -> MomentEst
 
     Value: (d - E[|X|^2 for X on the slice]) slice_measure / vol(K_t), the
     slice mean taken over max(10^4, n // 8) slice points. The formula's
-    hypothesis is isotropy of K_t, enforced here by requiring the covariance
-    estimate to be within CUT_ISOTROPY_TOL of the identity in max-entry norm.
+    hypothesis is isotropy of K_t, enforced here by requiring its covariance
+    to be within CUT_ISOTROPY_TOL of the identity in max-entry norm: the
+    exact one of ``kt.moments()`` where K_t has it, as an ``HPolytope`` does,
+    else a ``covariance_estimate`` from max(n // 4, 4096) points of
+    substream 0, which feeds nothing else.
     """
     stream = _resolve_stream(seed)
     kt = fam.cut(t)
-    cov = covariance_estimate(kt, max(n // 4, 64 * 64), stream.substream(0))
-    dev = cov.max_deviation_from_identity()
+    moments = kt.moments()
+    if moments is not None:
+        cov = moments[2]
+    else:
+        cov = covariance_estimate(kt, max(n // 4, 64 * 64), stream.substream(0)).matrix
+    dev = float(np.abs(cov - np.eye(kt.dim)).max())
     if dev > CUT_ISOTROPY_TOL:
         raise NonIsotropicBodyError(
             f"covariance of the cut body deviates from identity by {dev:.4f} "

@@ -1,5 +1,8 @@
 """Reproducible uniform sampling over convex bodies.
 
+A body's exact sampler is its own ``sampler()``; this module draws streams,
+rejects where a body has none, and samples and measures hyperplane sections.
+
 Streams are counter based: a stream is identified by (seed, index) and is
 bit-identical regardless of which other streams were drawn first, so every
 experiment can split work into independent substreams without bookkeeping.
@@ -26,24 +29,18 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
-from . import exact
 from .bodies import (
-    AffineImage,
-    Ball,
     BoundingBox,
     ConvexBody,
     Cut,
-    HalfBallCone,
     Halfspace,
     VERTEX_TOL,
-    _ball_axis_ppf,
     _extent,
-    _row_norms,
     _rowwise,
-    _slab_quantiles,
     _unit,
     bounding_box,
-    parallel_slab_params,
+    sample_ball,
+    slice_basis,
 )
 from .errors import DegenerateBodyError, DegenerateSliceError, DimensionError
 from .report import MomentEstimate, hit_or_miss
@@ -58,7 +55,6 @@ GROUP_VALUES = 16384  # values one rejection block, or one group of estimator ba
 MAX_CONSECUTIVE_MISSES = 10**6
 ROUND_MARGIN = 1.15
 ROUND_SLACK = 32
-SLICE_BASIS_TOL = 1e-10
 
 
 def splitmix64(z: int) -> int:
@@ -128,76 +124,6 @@ class SampleStream:
         u = np.asarray(self.uniform(size))
         # size None or () gives a numpy float, as uniform does
         return ndtri(u, out=u)[()]
-
-
-def sample_ball(stream: SampleStream, n: int, d: int, center=None, radius: float = 1.0) -> np.ndarray:
-    """n uniform points in a d-ball via normalized Gaussians times U^(1/d).
-
-    The (n, d) normals are drawn first, then the n uniforms. Each column of
-    the normals is divided by the norms, multiplied by r and by the radius
-    and shifted by its center coordinate, in place: the same IEEE
-    operations, in the same order, as ``g / norms * r * radius + center``
-    broadcast along the rows, so the points are that formula's, bit for bit.
-
-    A uniform of 1.0 gives a normal of +inf, and inf / inf would make that
-    row NaN. A row of infinite norm is given its limit direction instead:
-    +-1 on its infinite coordinates and 0 elsewhere, over its norm. Rows of
-    finite norm are untouched.
-    """
-    g = stream.normal((n, d))
-    norms = _row_norms(g)
-    norms[norms == 0] = 1.0
-    far = np.flatnonzero(np.isinf(norms))
-    if len(far):
-        g[far] = np.where(np.isinf(g[far]), np.sign(g[far]), 0.0)
-        norms[far] = _row_norms(g[far])
-    r = stream.uniform(n) ** (1.0 / d)
-    c = None if center is None else np.asarray(center, dtype=float)
-    for j in range(d):
-        col = g[:, j]
-        col /= norms
-        col *= r
-        col *= radius
-        if c is not None:
-            col += c[j]
-    return g
-
-
-def _sample_half_ball_cone(stream: SampleStream, n: int, body: HalfBallCone) -> np.ndarray:
-    """Piecewise direct sampler: half-ball part and cone frustum part.
-
-    The frustum is the cone from apex (-eps, 0, ...) with its tip below
-    x_1 = -eps + delta removed; radial scaling s about the apex is drawn
-    from the exact cone volume profile.
-
-    The two pieces are placed column by column through the piece masks,
-    which gives the array that ``out[take_half] = pts`` and
-    ``out[~take_half] = cone`` give, without scattering whole rows.
-    """
-    d, eps, delta = body.d, body.eps, body.delta
-    p_half = exact.kappa(d).to_float() / 2.0 / body.volume()
-    take_half = stream.uniform(n) < p_half
-
-    n_half = int(take_half.sum())
-    pts = sample_ball(stream, n_half, d)
-    np.abs(pts[:, 0], out=pts[:, 0])
-
-    n_cone = n - n_half
-    base = sample_ball(stream, n_cone, d - 1)
-    u = stream.uniform(n_cone)
-    low = (delta / eps) ** d
-    s = (low + u * (1.0 - low)) ** (1.0 / d)
-    cone = np.empty((n_cone, d))
-    cone[:, 0] = -eps + s * eps
-    for j in range(1, d):
-        np.multiply(base[:, j - 1], s, out=cone[:, j])
-    out = np.empty((n, d))
-    take_cone = ~take_half
-    for j in range(d):
-        col = out[:, j]
-        col[take_half] = pts[:, j]
-        col[take_cone] = cone[:, j]
-    return out
 
 
 def _rate_sized(missing: int, tried: int, kept: int) -> int:
@@ -300,88 +226,8 @@ def _group(stream) -> list:
 
 
 def _direct_sampler(body: ConvexBody):
-    """Return an exact sampler fn(stream, n) -> points, or None."""
-    if isinstance(body, Ball):
-        return lambda stream, n: sample_ball(stream, n, body.dim, body.center, body.radius)
-    if isinstance(body, HalfBallCone):
-        return lambda stream, n: _sample_half_ball_cone(stream, n, body)
-    if isinstance(body, AffineImage):
-        inner = _direct_sampler(body.base)
-        if inner is None:
-            return None
-        def image(stream, n):
-            pts = inner(stream, n) @ body.matrix.T
-            return _rowwise(np.add, pts, body.shift, out=pts)
-
-        return image
-    if isinstance(body, Cut) and isinstance(body.base, Ball):
-        h = body.halfspace
-        ball = body.base
-        if abs(float(h.normal @ ball.center) - h.offset) <= 1e-12:
-            # hyperplane through the center: reflect the wrong side over,
-            # subtracting (2 proj) n_j from column j of the wrong rows
-            def fn(stream, n, h=h, ball=ball):
-                pts = sample_ball(stream, n, ball.dim, ball.center, ball.radius)
-                proj = _rowwise(np.subtract, pts, ball.center) @ h.normal
-                wrong = np.flatnonzero(proj < 0)
-                step = 2.0 * proj[wrong]
-                for j in range(ball.dim):
-                    col = pts[:, j]
-                    col[wrong] -= step * h.normal[j]
-                return pts
-
-            return fn
-    if isinstance(body, Cut):
-        params = parallel_slab_params(body)
-        if params is not None:
-            return _slab_sampler(*params)
-    return None
-
-
-def _slab_sampler(ball: Ball, axis: np.ndarray, s_lo: float, s_hi: float):
-    """Exact sampler for a ball restricted to s_lo <= <axis, x - c>/R <= s_hi.
-
-    The axis coordinate is drawn by inverting its marginal CDF on the slab's
-    quantile interval (``_slab_quantiles``, as ``Cut.volume`` takes it);
-    where that is mirrored, q falls as the uniform rises, so s still rises.
-    The transverse part is uniform in the section ball. No rejection, so
-    arbitrarily thin caps cost the same as thick ones. Each point takes one
-    uniform for the axis and d - 1 normals and one uniform for the section.
-    The inverse CDF (``_ball_axis_ppf``) is the closed-form root of a cubic
-    at d = 3, a table polished by Newton steps at d = 4, else ``betaincinv``.
-
-    Points are built column by column: the axis part s a_j, plus the
-    section's part ``(section * b) @ basis`` for d - 1 ball points b, then
-    times the ball's radius and plus its center coordinate. These are the
-    IEEE operations of ``center + radius * (s a + (b section) @ basis)``
-    broadcast along the rows, so the points are that formula's, bit for bit.
-    """
-    d = ball.dim
-    sign, q_lo, q_hi = _slab_quantiles(d, s_lo, s_hi)
-    if not q_lo < q_hi:
-        return None
-    basis = slice_basis(axis) if d >= 2 else None
-
-    def fn(stream: SampleStream, n: int) -> np.ndarray:
-        u = stream.uniform(n)
-        q = q_hi - u * (q_hi - q_lo) if sign < 0 else q_lo + u * (q_hi - q_lo)
-        s = sign * _ball_axis_ppf(d, q)
-        pts = np.empty((n, d))
-        for j in range(d):
-            np.multiply(s, axis[j], out=pts[:, j])
-        if d >= 2:
-            section = np.sqrt((1.0 - s) * (1.0 + s))
-            b = sample_ball(stream, n, d - 1)
-            for k in range(d - 1):
-                b[:, k] *= section
-            pts += b @ basis
-        for j in range(d):
-            col = pts[:, j]
-            col *= ball.radius
-            col += ball.center[j]
-        return pts
-
-    return fn
+    """Return the body's exact sampler fn(stream, n) -> points, or None."""
+    return body.sampler()
 
 
 def _check_count(n: int) -> None:
@@ -392,10 +238,10 @@ def _check_count(n: int) -> None:
 def sample_body(stream, body: ConvexBody, n: int) -> np.ndarray:
     """n points uniform in the body.
 
-    Balls, half-ball cones, center cuts of balls, and affine images of
-    these sample directly; everything else rejects from the bounding box.
-    A Cut whose base samples directly rejects from the base sampler rather
-    than the box, which keeps acceptance high for thin caps.
+    A body whose ``sampler()`` is not None samples directly through it;
+    everything else rejects from the bounding box. A Cut whose base samples
+    directly rejects from the base sampler rather than the box, which keeps
+    acceptance high for thin caps.
 
     ``stream`` is one SampleStream, or a list of G streams drawn as one
     group. For a group, n is a multiple of G and rows [i n/G, (i + 1) n/G)
@@ -426,29 +272,6 @@ def sample_body(stream, body: ConvexBody, n: int) -> np.ndarray:
     if box.volume() <= 0:
         raise DegenerateBodyError("bounding box has zero volume")
     return _rejection_sample(streams, m, box, body.contains_batch)
-
-
-def slice_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to unit v, shape (d-1, d).
-
-    Deterministic: Gram-Schmidt of the coordinate axes against v, keeping
-    axes whose residual exceeds SLICE_BASIS_TOL.
-    """
-    d = v.shape[0]
-    rows = [v]
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        for r in rows:
-            e -= (e @ r) * r
-        norm = float(np.linalg.norm(e))
-        if norm > SLICE_BASIS_TOL:
-            rows.append(e / norm)
-        if len(rows) == d:
-            break
-    if len(rows) != d:
-        raise DimensionError("could not complete an orthonormal slice basis")
-    return np.array(rows[1:])
 
 
 def sample_slice(stream: SampleStream, body: ConvexBody, v, t: float, n: int) -> np.ndarray:

@@ -276,9 +276,11 @@ def symmetric_bottom_polygon(stream: SampleStream) -> Polygon2D:
 def clip_polygon(poly: Polygon2D, normal, offset: float) -> Polygon2D | None:
     """Sutherland-Hodgman clip keeping {<normal, x> >= offset}; None if empty.
 
-    Raises ValueError for a zero or non-finite normal.
+    Raises ValueError for a zero or non-finite normal or a non-finite offset.
     """
     n = _unit(normal)
+    if not math.isfinite(offset):
+        raise ValueError(f"clip offset must be finite, got {offset!r}")
     v = poly.vertices
     out: list[np.ndarray] = []
     m = len(v)

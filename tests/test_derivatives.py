@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import geomprob as gp
+import test_golden_digests as golden
 from test_golden_digests import BODIES
 
 N_FAST = 200000
@@ -208,6 +209,22 @@ def test_crofton_sign_volume_loss():
 
 
 def test_detcov_requires_isotropic_body():
+    fam = gp.cut_family(gp.unit_cube(3), [1.0, 0.0, 0.0])
+    with pytest.raises(gp.NonIsotropicBodyError):
+        gp.detcov_derivative_rhs(fam, 0.0, 50000, seed=36)
+
+
+def test_detcov_gates_a_polytope_on_its_exact_covariance(monkeypatch):
+    # K_t of a polytope family is a polytope, so the isotropy gate reads its
+    # exact moments and draws no covariance estimate; substream 0 fed only the
+    # gate, so the outputs keep their pinned bits
+    def fail(*args, **kwargs):
+        raise AssertionError("covariance_estimate was called")
+
+    for module in (gp.estimators, gp.derivatives):
+        monkeypatch.setattr(module, "covariance_estimate", fail)
+    assert golden._digest(*golden._detcov_simplex()) == golden.GOLDEN["derivative/detcov_simplex"]
+    assert golden._digest(*golden._detcov_square()) == golden.GOLDEN["derivative/detcov_square"]
     fam = gp.cut_family(gp.unit_cube(3), [1.0, 0.0, 0.0])
     with pytest.raises(gp.NonIsotropicBodyError):
         gp.detcov_derivative_rhs(fam, 0.0, 50000, seed=36)

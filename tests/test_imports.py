@@ -135,6 +135,37 @@ def test_the_batch_layout_has_one_owner():
         assert set(private) <= {"_resolve_stream"}, f"{name} imports {private}"
 
 
+def test_sampling_leaves_the_choice_of_sampler_to_the_body():
+    # a body's exact sampler is its own sampler(): sampling imports no body
+    # class but ConvexBody and Cut, and tests a body's type only where
+    # sample_body rejects from the base of a Cut
+    bodies = ast.parse((PACKAGE / "bodies.py").read_text())
+    body_classes = {
+        node.name
+        for node in bodies.body
+        if isinstance(node, ast.ClassDef)
+        and (node.name == "ConvexBody" or "ConvexBody" in map(ast.unparse, node.bases))
+    }
+    assert {"Ball", "HalfBallCone", "Cut", "AffineImage"} < body_classes
+    tree = ast.parse((PACKAGE / "sampling.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "bodies"
+        for alias in node.names
+    }
+    assert imported & body_classes == {"ConvexBody", "Cut"}
+    checks = [
+        (getattr(statement, "name", None), ast.unparse(node))
+        for statement in tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "isinstance"
+        and {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])} & body_classes
+    ]
+    assert checks == [("sample_body", "isinstance(body, Cut)")]
+
+
 def test_import_loads_no_heavy_scipy_subpackage():
     # ConvexHull is imported by the functions that use it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))

@@ -223,6 +223,49 @@ def test_sample_body_membership_everywhere():
         assert body.contains_batch(pts).all()
 
 
+def test_sample_body_draws_a_body_type_through_its_own_sampler():
+    draws = []
+
+    class CenterBall(gp.Ball):
+        """A ball whose exact sampler logs each call and puts every point at the center."""
+
+        def sampler(self):
+            def fn(stream, n):
+                draws.append((stream.index, n))
+                return np.tile(self.center, (n, 1))
+
+            return fn
+
+    body = CenterBall(np.array([0.5, -1.0, 2.0]), 1.0)
+    pts = gp.sample_body(gp.SampleStream(17, 4), body, 5)
+    assert draws == [(4, 5)]
+    assert pts.tolist() == [body.center.tolist()] * 5
+    draws.clear()
+    pts = gp.sample_body([gp.SampleStream(17, i) for i in range(3)], body, 6)
+    assert draws == [(0, 2), (1, 2), (2, 2)]
+    assert pts.tolist() == [body.center.tolist()] * 6
+
+
+def test_sampler_is_there_exactly_for_the_direct_paths():
+    e1 = np.eye(3)[0]
+    half3 = gp.half_ball(3)
+    direct = [gp.Ball(np.zeros(3), 1.0), gp.HalfBallCone(3, 0.1), half3, gp.cut_family(half3, e1).cut(0.4)]
+    m = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.3, 0.5]])
+    direct += [gp.affine_image(body, m, [1.0, 0.0, -1.0]) for body in direct]
+    rejected = [
+        gp.cut_family(gp.isotropic_half_ball(3), e1).cut(0.4),
+        gp.unit_cube(3),
+        gp.isotropic_simplex(3),
+        gp.Polygon2D([[0, 0], [1, 0], [0, 1]]),
+        gp.Cut(gp.HalfBallCone(3, 0.1), gp.Halfspace(e1, 0.2)),
+    ]
+    for i, body in enumerate(direct):
+        # sample_body draws a direct body through its sampler, bit for bit
+        want = body.sampler()(gp.SampleStream(18, i), 100)
+        assert gp.sample_body(gp.SampleStream(18, i), body, 100).tobytes() == want.tobytes()
+    assert [body.sampler() for body in rejected] == [None] * len(rejected)
+
+
 def test_cone_piece_fractions_match_exact_volumes():
     cone = gp.HalfBallCone(2, 0.5, 0.0)
     pts = gp.sample_body(gp.SampleStream(14, 0), cone, N_MOMENT)
@@ -523,7 +566,7 @@ def test_slab_axis_rises_with_the_uniform(d, lo, hi):
     body = _unit_ball_slab(d, lo, hi)
     ball, axis, s_lo, s_hi = parallel_slab_params(body)
     assert axis.tolist() == np.eye(d)[0].tolist()
-    pts = sampling._slab_sampler(ball, axis, s_lo, s_hi)(_SortedFirstUniforms(gp.SampleStream(83, d)), 50_000)
+    pts = gp.bodies._slab_sampler(ball, axis, s_lo, s_hi)(_SortedFirstUniforms(gp.SampleStream(83, d)), 50_000)
     s = pts[:, 0]
     assert float(np.diff(s).min()) >= -1e-15
     assert s_lo - 1e-15 <= float(s[0]) and float(s[-1]) <= s_hi + 1e-15

@@ -138,6 +138,14 @@ def test_clip_polygon_rejects_a_zero_or_non_finite_normal(normal, offset):
             gp.clip_polygon(sq, normal, offset)
 
 
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_clip_polygon_rejects_a_non_finite_offset(offset):
+    # unchecked, a NaN offset would clip everything away and -inf keep everything
+    sq = gp.Polygon2D([[0, 0], [1, 0], [1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="clip offset must be finite"):
+        gp.clip_polygon(sq, [1.0, 0.0], offset)
+
+
 def test_nested_polygon_pair_is_nested():
     for i in range(10):
         inner, outer = gp.nested_polygon_pair(gp.SampleStream(66, i))
