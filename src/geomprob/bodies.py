@@ -695,7 +695,7 @@ class Cut(ConvexBody):
         return self.base.support(v, (self.halfspace, *cuts))
 
     def sampler(self):
-        """Reflection for a ball cut through its center, the slab sampler for a ball cut along one line, else None."""
+        """The reflection for a ball cut through its center, the slab sampler for a ball slab, else None."""
         h, ball = self.halfspace, self.base
         if isinstance(ball, Ball) and abs(float(h.normal @ ball.center) - h.offset) <= 1e-12:
             # hyperplane through the center: reflect the wrong side over,
